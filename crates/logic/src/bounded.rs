@@ -11,9 +11,12 @@
 //! * the **fact universe** is the union of the canonical databases of the
 //!   (IsBind-erased) positive sentences of the formula, mapped back to the
 //!   base relations (Lemma 4.13's `I'_f`);
-//! * **states** are pairs (set of revealed facts, progressed formula); the
+//! * **states** are pairs (set of revealed facts, obligation id); the
 //!   formula is progressed transition by transition, in the style of the
-//!   propositional reduction of Theorem 4.12;
+//!   propositional reduction of Theorem 4.12, and every distinct normalized
+//!   obligation is hash-consed once per search into a `u32` id, so the
+//!   engine deduplicates, stores and memoizes states without hashing,
+//!   comparing or cloning formula trees;
 //! * **transitions** are generated per access method by grouping the not yet
 //!   revealed facts of its relation by their projection onto the input
 //!   positions (a well-formed response must agree with the binding), plus
@@ -32,10 +35,15 @@
 //! shared [`accltl_paths::engine`]; this module contributes the
 //! `FormulaOracle` that progresses obligations over per-candidate
 //! transition-structure overlays (compiled sentences, `O(|response|)` per
-//! step, no configuration clones).  Obligation checks are memoized through a
-//! per-search `accltl_relational::GuardCache` (sentence id × restricted
-//! `StructureKey`), so candidates that differ only in facts a sentence never
-//! mentions — typically the `IsBind` fact — share one homomorphism search;
+//! step, no configuration clones).  A step decides the formula's atom
+//! sentences into a verdict bitmask and looks the successor up in a flat
+//! (obligation id, mask) memo; only a memo miss touches a formula tree.
+//! Obligation ids are bookkeeping only: the engine never orders by them, so
+//! they cannot reach verdicts, witnesses or counters.  Atom checks are
+//! memoized through a per-search `accltl_relational::GuardCache` (sentence
+//! id × restricted `StructureKey`), so candidates that differ only in facts
+//! a sentence never mentions — typically the `IsBind` fact — share one
+//! homomorphism search;
 //! `ACCLTL_DISABLE_GUARD_CACHE=1` (read once, by
 //! `accltl_paths::engine::EngineConfig::from_env`) selects the uncached path
 //! with byte-identical verdicts, witnesses and budget accounting, and
@@ -48,8 +56,8 @@
 //! per-formula verdicts, witnesses and budget accounting stay byte-identical
 //! to one-at-a-time [`BoundedSearcher::run`] calls.
 
-use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, RwLock};
 
 use accltl_paths::engine::{
@@ -221,15 +229,114 @@ fn accepts_empty(formula: &AccLtl) -> bool {
     }
 }
 
+/// A hash-consed obligation: the index of a normalized formula in its
+/// [`FormulaOracle`]'s [`Obligations`] table.  Equal normalized formulas
+/// share one id per oracle; ids are assigned first-come, so their values
+/// may differ between runs and thread counts and must only ever be compared
+/// for equality or hashed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct ObligationId(u32);
+
+/// A memoized one-step progression verdict (see [`Obligations::memo`]).
+#[derive(Clone, Copy)]
+enum Progressed {
+    /// The obligation became `⊥`: the transition is dead.
+    Dead,
+    /// The progressed obligation accepts the empty remainder: the path so
+    /// far, extended by this transition, is a witness.
+    Accept,
+    /// The id of the normalized remaining obligation.
+    Step(ObligationId),
+}
+
+impl Progressed {
+    fn outcome(self) -> StepOutcome<ObligationId> {
+        match self {
+            Progressed::Dead => StepOutcome::dead(1),
+            Progressed::Accept => StepOutcome {
+                successors: Vec::new(),
+                accept: true,
+                cost: 1,
+            },
+            Progressed::Step(next) => StepOutcome {
+                successors: vec![next],
+                accept: false,
+                cost: 1,
+            },
+        }
+    }
+}
+
+/// An FxHash-style hasher for the memo's small integer keys: hashing an
+/// (id, mask) pair is two multiply-rotate rounds instead of SipHash.
+#[derive(Default)]
+struct MemoHasher(u64);
+
+impl Hasher for MemoHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The hash-consing table of one [`FormulaOracle`]: every normalized
+/// obligation the search reaches, by id, plus the one-step progression
+/// memo over those ids.
+#[derive(Default)]
+struct Obligations {
+    /// Interned obligations, indexed by [`ObligationId`].
+    formulas: Vec<Arc<AccLtl>>,
+    /// The id of each interned obligation (read and written only on memo
+    /// misses and when interning the start obligation).
+    ids: HashMap<Arc<AccLtl>, ObligationId>,
+    /// One-step progressions memoized per (obligation id, atom-verdict
+    /// mask): the progressed successor is a pure function of the obligation
+    /// and the verdicts of the formula's atom sentences, so candidates whose
+    /// guards agree replay one `Copy` verdict instead of re-deriving it.
+    /// Bypassed for formulas with more than 32 atoms.
+    memo: HashMap<(ObligationId, u32), Progressed, BuildHasherDefault<MemoHasher>>,
+}
+
+impl Obligations {
+    /// The id of `formula`, interning it on first sight.  Callers hold the
+    /// table's write lock, so racing workers agree on one canonical id.
+    fn intern(&mut self, formula: AccLtl) -> ObligationId {
+        if let Some(&id) = self.ids.get(&formula) {
+            return id;
+        }
+        let id = ObligationId(
+            u32::try_from(self.formulas.len()).expect("fewer than 2^32 obligations per search"),
+        );
+        let formula = Arc::new(formula);
+        self.formulas.push(Arc::clone(&formula));
+        self.ids.insert(formula, id);
+        id
+    }
+}
+
 /// The [`StepOracle`] of the bounded satisfiability search: the logical state
-/// is the normalized obligation still to satisfy, advanced by formula
-/// progression over the candidate's transition structure.
+/// is the id of the normalized obligation still to satisfy, advanced by
+/// formula progression over the candidate's transition structure.
 struct FormulaOracle {
     vocab: TransitionVocab,
-    /// Atom sentences of the formula, DNF-compiled once: progression
-    /// evaluates the same handful of sentences against every candidate
-    /// structure.
-    compiled: BTreeMap<PosFormula, CompiledSentence>,
+    /// Atom sentences of the formula in sorted order, DNF-compiled once:
+    /// progression evaluates the same handful of sentences against every
+    /// candidate structure.  A sentence's index is its bit in the
+    /// atom-verdict masks of [`Obligations::memo`].
+    atoms: Vec<(PosFormula, CompiledSentence)>,
     /// The search's guard-verdict cache, an owned
     /// [`GuardCache::share`] handle of the batch's root cache (one shared
     /// verdict map, per-formula consult counters): obligation checks
@@ -248,43 +355,10 @@ struct FormulaOracle {
     /// rather than indexed ([`EngineConfig::index_cutoff`]), stamped onto
     /// each state's base in `prepare`.
     index_cutoff: usize,
-    /// One-step progressions memoized per (obligation, atom-verdict mask):
-    /// the progressed successor is a pure function of the obligation and the
-    /// verdicts of the formula's atom sentences, so candidates whose guards
-    /// agree replay one normalized result instead of re-deriving it.  Shared
-    /// by all worker threads; bypassed for formulas with more than 32 atoms.
-    progress_memo: RwLock<HashMap<AccLtl, HashMap<u32, Progressed>>>,
-}
-
-/// A memoized one-step progression verdict (see
-/// [`FormulaOracle::progress_memo`]).
-#[derive(Clone)]
-enum Progressed {
-    /// The obligation became `⊥`: the transition is dead.
-    Dead,
-    /// The progressed obligation accepts the empty remainder: the path so
-    /// far, extended by this transition, is a witness.
-    Accept,
-    /// The normalized remaining obligation.
-    Step(AccLtl),
-}
-
-impl Progressed {
-    fn outcome(self) -> StepOutcome<AccLtl> {
-        match self {
-            Progressed::Dead => StepOutcome::dead(1),
-            Progressed::Accept => StepOutcome {
-                successors: Vec::new(),
-                accept: true,
-                cost: 1,
-            },
-            Progressed::Step(next) => StepOutcome {
-                successors: vec![next],
-                accept: false,
-                cost: 1,
-            },
-        }
-    }
+    /// The obligations interned so far and their progression memo, shared
+    /// by all worker threads.  A memo hit takes the read lock once; only a
+    /// miss reads a formula tree and writes the table.
+    obligations: RwLock<Obligations>,
 }
 
 impl FormulaOracle {
@@ -296,7 +370,7 @@ impl FormulaOracle {
         scan: bool,
         index_cutoff: usize,
     ) -> Self {
-        let compiled = formula
+        let atoms = formula
             .atom_sentences()
             .into_iter()
             .map(|sentence| {
@@ -306,58 +380,77 @@ impl FormulaOracle {
             .collect();
         FormulaOracle {
             vocab: TransitionVocab::new(schema),
-            compiled,
+            atoms,
             cache,
             zero_ary,
             scan,
             index_cutoff,
-            progress_memo: RwLock::new(HashMap::new()),
+            obligations: RwLock::new(Obligations::default()),
         }
     }
 
+    /// The id of a normalized obligation, interning it on first sight.
+    fn intern(&self, formula: AccLtl) -> ObligationId {
+        self.obligations
+            .write()
+            .expect("obligation table poisoned")
+            .intern(formula)
+    }
+
+    /// The interned obligation behind an id.
+    fn obligation(&self, id: ObligationId) -> Arc<AccLtl> {
+        let table = self.obligations.read().expect("obligation table poisoned");
+        Arc::clone(&table.formulas[id.0 as usize])
+    }
+
     /// Progresses an obligation through one transition whose atoms are
-    /// decided by `eval`, classifying the normalized result.
-    fn progress_state(&self, state: &AccLtl, eval: &impl Fn(&PosFormula) -> bool) -> Progressed {
-        let progressed = normalize(&progress(state, eval));
-        if progressed == AccLtl::bottom() {
-            return Progressed::Dead;
-        }
-        if accepts_empty(&progressed) {
+    /// decided by `eval`, classifying and interning the normalized result;
+    /// with a `memo_key` the verdict is also memoized under it.
+    fn progress_state(
+        &self,
+        state: ObligationId,
+        memo_key: Option<(ObligationId, u32)>,
+        eval: &impl Fn(&PosFormula) -> bool,
+    ) -> Progressed {
+        let progressed = normalize(&progress(&self.obligation(state), eval));
+        let mut table = self.obligations.write().expect("obligation table poisoned");
+        let verdict = if progressed == AccLtl::bottom() {
+            Progressed::Dead
+        } else if accepts_empty(&progressed) {
             // The path leading to the current state, extended by this
             // transition, is a witness (reported before deduplication: the
             // successor state may coincide with an earlier one, e.g. when an
             // obligation like `G ψ` is already dischargeable).
-            return Progressed::Accept;
+            Progressed::Accept
+        } else {
+            Progressed::Step(table.intern(progressed))
+        };
+        if let Some(key) = memo_key {
+            table.memo.insert(key, verdict);
         }
-        Progressed::Step(progressed)
+        verdict
     }
 
-    fn eval(&self, sentence: &PosFormula, structure: &InstanceOverlay, memoize: bool) -> bool {
-        if self.scan {
-            return self.eval_view(sentence, &ScanView(structure), memoize);
-        }
-        self.eval_view(sentence, structure, memoize)
+    /// The bit (index in [`FormulaOracle::atoms`]) of an atom sentence.
+    /// Progression only consults atoms of a stored obligation, and those
+    /// are atoms of the original formula: the ⊤/⊥ it creates itself are
+    /// folded away by the `AccLtl` constructors, or settle the step as
+    /// dead or accepting before any obligation is stored.
+    fn bit_of(&self, sentence: &PosFormula) -> usize {
+        self.atoms
+            .binary_search_by(|(atom, _)| atom.cmp(sentence))
+            .expect("progression only produces atoms of the original formula")
     }
 
-    fn eval_view(
-        &self,
-        sentence: &PosFormula,
-        structure: &impl accltl_relational::InstanceView,
-        memoize: bool,
-    ) -> bool {
+    /// Decides the atom sentence at `bit` on a candidate structure (a
+    /// counted guard-cache consult, except for ⊤/⊥).
+    fn eval(&self, bit: usize, structure: &InstanceOverlay, memoize: bool) -> bool {
+        let (sentence, compiled) = &self.atoms[bit];
         match sentence {
             PosFormula::True => true,
             PosFormula::False => false,
-            _ => match self.compiled.get(sentence) {
-                Some(compiled) => compiled.holds_cached(structure, &self.cache, memoize),
-                // Progression only ever produces atoms of the original
-                // formula (plus ⊤/⊥); this fallback keeps the oracle total
-                // (counted, but never memoized).
-                None => {
-                    self.cache.note_uncached();
-                    sentence.holds(structure)
-                }
-            },
+            _ if self.scan => compiled.holds_cached(&ScanView(structure), &self.cache, memoize),
+            _ => compiled.holds_cached(structure, &self.cache, memoize),
         }
     }
 }
@@ -371,7 +464,7 @@ struct FormulaCtx {
 }
 
 impl StepOracle for FormulaOracle {
-    type State = AccLtl;
+    type State = ObligationId;
     type StateCtx = FormulaCtx;
     /// The candidate's transition structure: its response pushed as `Rpost`
     /// facts (plus the `IsBind` fact) onto the state's `pre ∪ post` base.
@@ -410,63 +503,44 @@ impl StepOracle for FormulaOracle {
 
     fn step(
         &self,
-        state: &AccLtl,
+        state: &ObligationId,
         ctx: &FormulaCtx,
         structure: &InstanceOverlay,
         _candidate: &Candidate<'_>,
         _universe: &FactUniverse,
-    ) -> StepOutcome<AccLtl> {
-        // Decide every atom sentence once against the candidate structure
-        // (each decision is a counted guard-cache consult); progression is
-        // then a pure function of the obligation and this verdict mask.
-        if self.compiled.len() > 32 {
+    ) -> StepOutcome<ObligationId> {
+        if self.atoms.len() > 32 {
+            // Too many atoms for a verdict mask: progress lazily, consulting
+            // each atom occurrence as progression reaches it.
             return self
-                .progress_state(state, &|sentence| {
-                    self.eval(sentence, structure, ctx.memoize)
+                .progress_state(*state, None, &|sentence| {
+                    self.eval(self.bit_of(sentence), structure, ctx.memoize)
                 })
                 .outcome();
         }
+        // Decide every atom sentence once against the candidate structure
+        // (each decision is a counted guard-cache consult); progression is
+        // then a pure function of the obligation and this verdict mask.
         let mut mask = 0u32;
-        for (bit, sentence) in self.compiled.keys().enumerate() {
-            if self.eval(sentence, structure, ctx.memoize) {
+        for bit in 0..self.atoms.len() {
+            if self.eval(bit, structure, ctx.memoize) {
                 mask |= 1 << bit;
             }
         }
+        let key = (*state, mask);
         let hit = self
-            .progress_memo
+            .obligations
             .read()
-            .expect("progress memo poisoned")
-            .get(state)
-            .and_then(|verdicts| verdicts.get(&mask))
-            .cloned();
-        if let Some(progressed) = hit {
-            return progressed.outcome();
-        }
-        // Progression only ever produces atoms of the original formula (plus
-        // ⊤/⊥); an atom outside the compiled set falls back to direct
-        // (counted, never memoized) evaluation, and poisons this step for
-        // the memo since the mask does not key its verdict.
-        let unkeyed = Cell::new(false);
-        let progressed = self.progress_state(state, &|sentence| match sentence {
-            PosFormula::True => true,
-            PosFormula::False => false,
-            _ => match self.compiled.keys().position(|k| k == sentence) {
-                Some(bit) => mask >> bit & 1 == 1,
-                None => {
-                    unkeyed.set(true);
-                    self.eval(sentence, structure, ctx.memoize)
-                }
-            },
-        });
-        if !unkeyed.get() {
-            self.progress_memo
-                .write()
-                .expect("progress memo poisoned")
-                .entry(state.clone())
-                .or_default()
-                .insert(mask, progressed.clone());
-        }
-        progressed.outcome()
+            .expect("obligation table poisoned")
+            .memo
+            .get(&key)
+            .copied();
+        hit.unwrap_or_else(|| {
+            self.progress_state(*state, Some(key), &|sentence| {
+                mask >> self.bit_of(sentence) & 1 == 1
+            })
+        })
+        .outcome()
     }
 
     fn cache_stats(&self) -> Option<GuardCacheStats> {
@@ -708,6 +782,7 @@ fn run_formula_batch(
             engine_config.disable_indexes,
             engine_config.index_cutoff,
         );
+        let start = oracle.intern(start);
         specs.push(PropertySpec {
             oracle,
             start,
@@ -1009,6 +1084,7 @@ mod tests {
     use crate::vocabulary::{isbind_atom, isbind_prop, post_atom, pre_atom};
     use accltl_paths::access::phone_directory_access_schema;
     use accltl_relational::{tuple, Term};
+    use std::thread;
 
     fn schema() -> AccessSchema {
         phone_directory_access_schema()
@@ -1259,5 +1335,178 @@ mod tests {
             BoundedSearchConfig::default(),
         );
         assert_eq!(searcher.search(&f), SatOutcome::Unsatisfiable);
+    }
+
+    fn resident_post(name: &str) -> AccLtl {
+        AccLtl::atom(PosFormula::exists(
+            vec!["s", "p", "h"],
+            post_atom(
+                "Address",
+                vec![
+                    Term::var("s"),
+                    Term::var("p"),
+                    Term::constant(name),
+                    Term::var("h"),
+                ],
+            ),
+        ))
+    }
+
+    fn oracle_for(schema: &AccessSchema, formula: &AccLtl, zero_ary: bool) -> FormulaOracle {
+        FormulaOracle::new(
+            schema,
+            formula,
+            zero_ary,
+            GuardCache::with_enabled(true),
+            false,
+            EngineConfig::base().index_cutoff,
+        )
+    }
+
+    #[test]
+    fn equal_obligations_share_one_id() {
+        let schema = schema();
+        let (jones, mobile) = (
+            AccLtl::atom(address_post_has_jones()),
+            AccLtl::atom(mobile_pre_nonempty()),
+        );
+        let both = AccLtl::and(vec![jones.clone(), AccLtl::next(mobile.clone())]);
+        let oracle = oracle_for(&schema, &both, true);
+        let id = oracle.intern(normalize(&both));
+        // Built separately, in the other argument order: the same
+        // normalized obligation, so the same id.
+        let swapped = AccLtl::and(vec![AccLtl::next(mobile.clone()), jones.clone()]);
+        assert_eq!(oracle.intern(normalize(&swapped)), id);
+        // Structurally different obligations get ids of their own.
+        let either = AccLtl::or(vec![jones.clone(), AccLtl::next(mobile.clone())]);
+        let other = oracle.intern(normalize(&either));
+        let next = oracle.intern(normalize(&AccLtl::next(mobile)));
+        assert_ne!(other, id);
+        assert_ne!(next, id);
+        assert_ne!(next, other);
+        assert_eq!(*oracle.obligation(id), normalize(&both));
+        assert_eq!(*oracle.obligation(other), normalize(&either));
+    }
+
+    #[test]
+    fn racing_workers_agree_on_canonical_ids() {
+        let schema = schema();
+        let formulas: Vec<AccLtl> = (0..24)
+            .map(|i| normalize(&AccLtl::finally(resident_post(&format!("R{i}")))))
+            .collect();
+        let oracle = oracle_for(&schema, &AccLtl::top(), true);
+        let seen: Vec<Vec<ObligationId>> = thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|worker| {
+                    let (oracle, formulas) = (&oracle, &formulas);
+                    scope.spawn(move || {
+                        // Each worker interns the whole list, starting at a
+                        // different offset, and reports ids in list order.
+                        let mut ids = vec![None; formulas.len()];
+                        for k in 0..formulas.len() {
+                            let index = (k + worker * 7) % formulas.len();
+                            ids[index] = Some(oracle.intern(formulas[index].clone()));
+                        }
+                        ids.into_iter().map(Option::unwrap).collect()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert!(seen.windows(2).all(|pair| pair[0] == pair[1]));
+        let table = oracle.obligations.read().unwrap();
+        assert_eq!(table.formulas.len(), formulas.len());
+        for (formula, id) in formulas.iter().zip(&seen[0]) {
+            assert_eq!(*table.formulas[id.0 as usize], *formula);
+        }
+    }
+
+    #[test]
+    fn memoized_steps_resolve_to_the_progressed_obligation() {
+        let schema = schema();
+        let jones = AccLtl::atom(address_post_has_jones());
+        let mobile = AccLtl::atom(mobile_pre_nonempty());
+        for formula in [
+            // Exhaustive (unsatisfiable): every reachable obligation.
+            AccLtl::and(vec![
+                AccLtl::globally(AccLtl::not(jones.clone())),
+                AccLtl::finally(jones.clone()),
+            ]),
+            // A multi-step witness through Until and eventualities.
+            AccLtl::and(vec![
+                AccLtl::until(
+                    AccLtl::not(mobile.clone()),
+                    AccLtl::atom(isbind_prop("AcM2")),
+                ),
+                AccLtl::finally(mobile.clone()),
+                AccLtl::next(AccLtl::next(jones.clone())),
+            ]),
+        ] {
+            let initial = Instance::new();
+            let oracle = oracle_for(&schema, &formula, true);
+            let start = oracle.intern(normalize(&formula));
+            BatchEngine::new(&schema, Arc::new(initial.clone())).run(vec![PropertySpec {
+                oracle: &oracle,
+                start,
+                universe: FactUniverse::new(fact_universe(&formula, &initial)),
+                constants: formula_constants(&formula),
+                config: EngineConfig::base().empty_bindings(EmptyBindingMode::Placeholder),
+            }]);
+            let table = oracle.obligations.read().unwrap();
+            assert!(table.memo.len() > 1, "{formula}: the search stepped");
+            let mut steps = 0;
+            for (&(id, mask), &verdict) in &table.memo {
+                let eval = |sentence: &PosFormula| mask >> oracle.bit_of(sentence) & 1 == 1;
+                let expected = normalize(&progress(&table.formulas[id.0 as usize], &eval));
+                match verdict {
+                    Progressed::Dead => assert_eq!(expected, AccLtl::bottom()),
+                    Progressed::Accept => assert!(accepts_empty(&expected)),
+                    Progressed::Step(next) => {
+                        steps += 1;
+                        assert!(!accepts_empty(&expected));
+                        assert_eq!(*table.formulas[next.0 as usize], expected);
+                    }
+                }
+            }
+            assert!(steps > 0, "{formula}: some step kept an obligation");
+        }
+    }
+
+    /// 35 atom sentences: more than a verdict mask holds, so every step
+    /// progresses lazily without the memo.  The pinned reports were
+    /// recorded before obligations were hash-consed.
+    #[test]
+    fn formulas_beyond_the_mask_width_keep_their_reports() {
+        let schema = schema();
+        let others = (0..33)
+            .map(|i| AccLtl::not(resident_post(&format!("Other{i}"))))
+            .collect();
+        let formula = AccLtl::and(vec![
+            AccLtl::next(AccLtl::next(resident_post("Jones"))),
+            AccLtl::globally(AccLtl::and(others)),
+        ]);
+        assert!(formula.atom_sentences().len() > 32);
+        let jones = r#"AcM2("❄2_s0d0ǹs·1", "❄1_s0d0ǹp·1") ⇒ {("❄2_s0d0ǹs·1", "❄1_s0d0ǹp·1", "Jones", "❄0_s0d0ǹh·1")}"#;
+        for (zero_ary, threads, binding, explored, cost, consults) in [
+            (true, 1, "☆any", 5, 109, 4755),
+            (true, 4, "☆any", 5, 109, 5945),
+            (false, 1, "Jones", 5, 214, 8745),
+            (false, 4, "Jones", 5, 214, 10955),
+        ] {
+            let config = EngineConfig::base().threads(threads);
+            let report =
+                BoundedSearcher::with_engine_config(&schema, &Instance::new(), zero_ary, config)
+                    .run(&formula);
+            let SatOutcome::Satisfiable { witness } = &report.verdict else {
+                panic!("expected a witness, got {:?}", report.verdict);
+            };
+            let empty = format!("AcM1(\"{binding}\") ⇒ {{}}");
+            assert_eq!(witness.to_string(), format!("{empty} ; {empty} ; {jones}"));
+            assert_eq!(
+                (report.explored, report.cost, report.cache.total()),
+                (explored, cost, consults),
+                "zero_ary={zero_ary} threads={threads}"
+            );
+        }
     }
 }

@@ -95,16 +95,18 @@ impl<T, U> Round<T, U> {
         let mut steals = 0u64;
         let mut tasks = 0u64;
         loop {
-            let claimed = lock(&self.deques[slot])
-                .pop_front()
-                .map(|range| (range, false))
-                .or_else(|| {
-                    (1..workers).find_map(|offset| {
-                        lock(&self.deques[(slot + offset) % workers])
-                            .pop_back()
-                            .map(|range| (range, true))
-                    })
-                });
+            // The own-deque pop is a statement of its own, so its guard is
+            // released before any neighbour's deque is locked: holding it
+            // while stealing lets two idle workers lock each other's deques
+            // in opposite orders and deadlock.
+            let own = lock(&self.deques[slot]).pop_front();
+            let claimed = own.map(|range| (range, false)).or_else(|| {
+                (1..workers).find_map(|offset| {
+                    lock(&self.deques[(slot + offset) % workers])
+                        .pop_back()
+                        .map(|range| (range, true))
+                })
+            });
             let Some((range, stolen)) = claimed else {
                 if ranges > 0 {
                     POOL_RANGES.add(ranges);
@@ -383,6 +385,35 @@ mod tests {
     fn threads_beyond_task_count_are_harmless() {
         let got = scoped(16, 4, |&x: &i32| -x, |pool| pool.run(vec![1, 2, 3]));
         assert_eq!(got, vec![-1, -2, -3]);
+    }
+
+    /// Regression test for a lock-order deadlock in [`Round::drain`]: a
+    /// worker that kept its own deque locked while stealing could wait on a
+    /// neighbour doing the same in the opposite order.  Many oversubscribed
+    /// pools with many small rounds make that interleaving likely; a
+    /// watchdog turns a hang into a failure.
+    #[test]
+    fn oversubscribed_small_rounds_never_deadlock() {
+        let (done, finished) = std::sync::mpsc::channel();
+        thread::spawn(move || {
+            for _ in 0..200 {
+                scoped(
+                    8,
+                    1,
+                    |&x: &usize| x + 1,
+                    |pool| {
+                        for round in 0..200usize {
+                            let got = pool.run(vec![round, round + 1, round + 2, round + 3]);
+                            assert_eq!(got, vec![round + 1, round + 2, round + 3, round + 4]);
+                        }
+                    },
+                );
+            }
+            done.send(()).expect("watchdog is listening");
+        });
+        finished
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("pool stress run did not finish within 60 s: workers deadlocked");
     }
 
     #[test]
