@@ -19,7 +19,7 @@
 //! universe indexing, frontier dedup, parent links and parallel layer
 //! expansion are the engine's.  Per-transition guard sentences are memoized
 //! through one `accltl_relational::GuardCache` shared across all chains of a
-//! [`bounded_emptiness`] call (sentence ids are structural, so the repeated
+//! [`bounded_emptiness_report`] call (sentence ids are structural, so the repeated
 //! guards the chain decomposition produces share entries); candidates
 //! differing only in facts a sentence never mentions — typically the
 //! `IsBind` fact — share one homomorphism search.
@@ -30,7 +30,7 @@
 //! [`bounded_emptiness_report`] surfaces the hit/miss counters in its
 //! [`SearchReport`].
 //!
-//! [`bounded_emptiness_batch`] checks many automata through one
+//! [`bounded_emptiness_batch_with_config`] checks many automata through one
 //! [`BatchEngine`]: chains are scheduled in waves (every live automaton's
 //! current chain searches concurrently, then advances), so overlay bases,
 //! prepared transition structures and one root guard cache are shared across
@@ -88,6 +88,25 @@ impl Default for EmptinessConfig {
     }
 }
 
+impl EmptinessConfig {
+    /// The engine configuration this emptiness configuration stands for:
+    /// [`EngineConfig::from_env`] with the budgets set from `self`, and the
+    /// thread count too unless `threads` is `0`.
+    #[must_use]
+    pub fn engine_config(&self) -> EngineConfig {
+        let engine = EngineConfig::from_env()
+            .max_states(self.max_states)
+            .max_response_size(self.max_response_size)
+            .max_empty_bindings(self.max_empty_bindings)
+            .max_guard_checks(self.max_guard_checks);
+        if self.threads > 0 {
+            engine.threads(self.threads)
+        } else {
+            engine
+        }
+    }
+}
+
 /// Outcome of the emptiness check.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EmptinessOutcome {
@@ -123,38 +142,20 @@ pub fn bounded_emptiness_report(
     initial: &Instance,
     config: &EmptinessConfig,
 ) -> SearchReport<EmptinessOutcome> {
-    bounded_emptiness_batch(&[automaton], schema, initial, config)
+    bounded_emptiness_batch_with_config(&[automaton], schema, initial, config.engine_config())
         .pop()
         .expect("one automaton in, one report out")
 }
 
-/// Checks emptiness of many automata through one [`BatchEngine`] (see the
-/// module docs for the sharing and determinism contract).  Reports come back
-/// in input order; each is byte-identical to a standalone
-/// [`bounded_emptiness_report`] of that automaton, apart from the
-/// non-contractual cache hit/miss split.
-#[must_use]
-pub fn bounded_emptiness_batch(
-    automata: &[&AAutomaton],
-    schema: &AccessSchema,
-    initial: &Instance,
-    config: &EmptinessConfig,
-) -> Vec<SearchReport<EmptinessOutcome>> {
-    let mut engine = EngineConfig::from_env()
-        .max_states(config.max_states)
-        .max_response_size(config.max_response_size)
-        .max_empty_bindings(config.max_empty_bindings)
-        .max_guard_checks(config.max_guard_checks);
-    if config.threads > 0 {
-        engine = engine.threads(config.threads);
-    }
-    bounded_emptiness_batch_with_config(automata, schema, initial, engine)
-}
-
-/// [`bounded_emptiness_batch`] driven by an explicit [`EngineConfig`] (the
-/// batch-request path): budgets, threads and the index/guard-cache ablation
-/// flags are taken verbatim; `max_guard_checks` is the *total* per-automaton
-/// guard budget, split evenly across its chains.
+/// Checks emptiness of many automata through one [`BatchEngine`] driven by
+/// an explicit [`EngineConfig`] (see the module docs for the sharing and
+/// determinism contract): budgets, threads and the index/guard-cache
+/// ablation flags are taken verbatim; `max_guard_checks` is the *total*
+/// per-automaton guard budget, split evenly across its chains.  Reports come
+/// back in input order; each is byte-identical to a standalone
+/// [`bounded_emptiness_report`] of that automaton under
+/// [`EmptinessConfig::engine_config`], apart from the non-contractual cache
+/// hit/miss split.
 #[must_use]
 pub fn bounded_emptiness_batch_with_config(
     automata: &[&AAutomaton],
@@ -307,33 +308,6 @@ pub fn bounded_emptiness_batch_with_config(
         );
     }
     reports
-}
-
-/// Deprecated alias of [`bounded_emptiness_report`] returning the verdict
-/// alone; kept so existing callers compile unchanged.
-#[must_use]
-pub fn bounded_emptiness(
-    automaton: &AAutomaton,
-    schema: &AccessSchema,
-    initial: &Instance,
-    config: &EmptinessConfig,
-) -> EmptinessOutcome {
-    bounded_emptiness_report(automaton, schema, initial, config).verdict
-}
-
-/// Deprecated alias of [`bounded_emptiness_report`] returning the historical
-/// `(verdict, stats)` pair; kept so existing callers compile unchanged.
-/// Every consult counts as a miss when the cache is disabled, so cached and
-/// uncached runs report the same total.
-#[must_use]
-pub fn bounded_emptiness_with_stats(
-    automaton: &AAutomaton,
-    schema: &AccessSchema,
-    initial: &Instance,
-    config: &EmptinessConfig,
-) -> (EmptinessOutcome, GuardCacheStats) {
-    let report = bounded_emptiness_report(automaton, schema, initial, config);
-    (report.verdict, report.cache)
 }
 
 /// The [`StepOracle`] of the product emptiness search: the logical state is
@@ -580,12 +554,13 @@ mod tests {
         let schema = phone_directory_access_schema();
         let f = AccLtl::finally(AccLtl::atom(jones_post()));
         let automaton = accltl_plus_to_automaton(&f);
-        let outcome = bounded_emptiness(
+        let outcome = bounded_emptiness_report(
             &automaton,
             &schema,
             &Instance::new(),
             &EmptinessConfig::default(),
-        );
+        )
+        .verdict;
         let EmptinessOutcome::NonEmpty { witness } = outcome else {
             panic!("expected a witness");
         };
@@ -605,12 +580,13 @@ mod tests {
         ]);
         let automaton = accltl_plus_to_automaton(&f);
         assert_eq!(
-            bounded_emptiness(
+            bounded_emptiness_report(
                 &automaton,
                 &schema,
                 &Instance::new(),
                 &EmptinessConfig::default()
-            ),
+            )
+            .verdict,
             EmptinessOutcome::Empty
         );
     }
@@ -644,12 +620,13 @@ mod tests {
         automaton.add_transition(0, Guard::positive(dataflow_guard), 1);
         automaton.mark_accepting(1);
 
-        let outcome = bounded_emptiness(
+        let outcome = bounded_emptiness_report(
             &automaton,
             &schema,
             &Instance::new(),
             &EmptinessConfig::default(),
-        );
+        )
+        .verdict;
         let EmptinessOutcome::NonEmpty { witness } = outcome else {
             panic!("expected a witness");
         };
@@ -664,12 +641,13 @@ mod tests {
         let mut automaton = AAutomaton::new(2, 0);
         automaton.add_transition(0, Guard::always(), 1);
         assert_eq!(
-            bounded_emptiness(
+            bounded_emptiness_report(
                 &automaton,
                 &schema,
                 &Instance::new(),
                 &EmptinessConfig::default()
-            ),
+            )
+            .verdict,
             EmptinessOutcome::Empty
         );
     }
@@ -693,7 +671,7 @@ mod tests {
             ))),
         ]);
         let automaton = accltl_plus_to_automaton(&f);
-        let outcome = bounded_emptiness(
+        let outcome = bounded_emptiness_report(
             &automaton,
             &schema,
             &Instance::new(),
@@ -701,7 +679,8 @@ mod tests {
                 max_states: 1,
                 ..EmptinessConfig::default()
             },
-        );
+        )
+        .verdict;
         assert_eq!(outcome, EmptinessOutcome::Unknown);
     }
 }

@@ -16,10 +16,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use accltl_core::automata::{bounded_emptiness, bounded_emptiness_with_stats, EmptinessConfig};
+use accltl_core::automata::{
+    bounded_emptiness_batch_with_config, bounded_emptiness_report, EmptinessConfig,
+};
 use accltl_core::logic::bounded::BoundedSearcher;
 use accltl_core::prelude::*;
-use accltl_core::relational::set_guard_cache_enabled;
 
 /// The Figure-1-shaped hidden instance at the given scale: per round, one
 /// looked-up mobile entry and an address page with four residents (the same
@@ -138,8 +139,8 @@ fn print_hit_rates() {
                 ..BoundedSearchConfig::default()
             },
         );
-        let (_, search) = searcher.search_with_stats(&formula);
-        let (_, emptiness) = bounded_emptiness_with_stats(
+        let search = searcher.run(&formula).cache;
+        let emptiness = bounded_emptiness_report(
             &automaton,
             &schema,
             &initial,
@@ -147,7 +148,8 @@ fn print_hit_rates() {
                 threads: 1,
                 ..EmptinessConfig::default()
             },
-        );
+        )
+        .cache;
         #[allow(clippy::cast_precision_loss)]
         let rate = search.hits as f64 / (search.total().max(1)) as f64;
         println!(
@@ -171,38 +173,41 @@ fn bench_guard_cache(c: &mut Criterion) {
     group.sample_size(10);
     for scale in [1usize, 4, 16] {
         let initial = scaled_initial(scale);
-        let config = BoundedSearchConfig {
-            threads: 1,
-            ..BoundedSearchConfig::default()
-        };
-        let emptiness_config = EmptinessConfig {
+        let search_engine = EngineConfig::from_env().threads(1);
+        let emptiness_engine = EmptinessConfig {
             threads: 1,
             ..EmptinessConfig::default()
-        };
+        }
+        .engine_config();
         for (label, cached) in [("cached", true), ("uncached", false)] {
             group.bench_with_input(
                 BenchmarkId::new(format!("search_{label}"), scale),
                 &scale,
                 |b, _| {
-                    set_guard_cache_enabled(cached);
+                    let engine = search_engine.disable_guard_cache(!cached);
                     b.iter(|| {
-                        BoundedSearcher::new(&schema, &initial, false, config)
-                            .search(&formula)
+                        BoundedSearcher::with_engine_config(&schema, &initial, false, engine)
+                            .run(&formula)
+                            .verdict
                             .is_satisfiable()
                     });
-                    set_guard_cache_enabled(true);
                 },
             );
             group.bench_with_input(
                 BenchmarkId::new(format!("emptiness_{label}"), scale),
                 &scale,
                 |b, _| {
-                    set_guard_cache_enabled(cached);
+                    let engine = emptiness_engine.disable_guard_cache(!cached);
                     b.iter(|| {
-                        bounded_emptiness(&automaton, &schema, &initial, &emptiness_config)
-                            .is_nonempty()
+                        bounded_emptiness_batch_with_config(
+                            &[&automaton],
+                            &schema,
+                            &initial,
+                            engine,
+                        )[0]
+                        .verdict
+                        .is_nonempty()
                     });
-                    set_guard_cache_enabled(true);
                 },
             );
         }

@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use accltl_bench::table1_formula;
 use accltl_core::automata::{
-    accltl_plus_to_automaton, bounded_emptiness, chain_decomposition, EmptinessConfig,
+    accltl_plus_to_automaton, bounded_emptiness_report, chain_decomposition, EmptinessConfig,
 };
 use accltl_core::logic::solver::sat_binding_positive_bounded;
 use accltl_core::prelude::*;
@@ -33,12 +33,13 @@ fn print_stage_breakdown() {
         let decompose_us = t1.elapsed().as_micros();
 
         let t2 = Instant::now();
-        let outcome = bounded_emptiness(
+        let outcome = bounded_emptiness_report(
             &automaton,
             &schema,
             &Instance::new(),
             &EmptinessConfig::default(),
-        );
+        )
+        .verdict;
         let emptiness_us = t2.elapsed().as_micros();
         assert!(outcome.is_nonempty());
 
@@ -83,12 +84,13 @@ fn bench_pipeline(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("emptiness", size), &size, |b, _| {
             b.iter(|| {
-                bounded_emptiness(
+                bounded_emptiness_report(
                     &automaton,
                     &schema,
                     &Instance::new(),
                     &EmptinessConfig::default(),
                 )
+                .verdict
                 .is_nonempty()
             });
         });

@@ -11,7 +11,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use accltl_core::logic::bounded::BoundedSearcher;
 use accltl_core::paths::pool;
 use accltl_core::prelude::*;
-use accltl_core::relational::set_guard_cache_enabled;
 
 /// A stand-in for one node expansion: a few microseconds of pure compute,
 /// so the round benchmarks measure coordination overhead against realistic
@@ -52,7 +51,6 @@ fn spawn_per_round(rounds: usize, tasks_per_round: usize, threads: usize) -> u64
 fn pooled_rounds(rounds: usize, tasks_per_round: usize, threads: usize) -> u64 {
     pool::scoped(
         threads,
-        1,
         |&task: &u64| expansion_grain(task),
         |pool| {
             let mut acc = 0u64;
@@ -166,7 +164,8 @@ fn bench_pool(c: &mut Criterion) {
                     let config = EngineConfig::base().threads(threads);
                     b.iter(|| {
                         BoundedSearcher::with_engine_config(&schema, &initial, false, config)
-                            .search(&formula)
+                            .run(&formula)
+                            .verdict
                             .is_satisfiable()
                     });
                 },
@@ -181,14 +180,13 @@ fn bench_pool(c: &mut Criterion) {
     let initial = scaled_initial(4);
     for (label, cached) in [("cached", true), ("uncached", false)] {
         keys.bench_with_input(BenchmarkId::new(label, 4), &cached, |b, &cached| {
-            set_guard_cache_enabled(cached);
-            let config = EngineConfig::base().threads(1);
+            let config = EngineConfig::base().threads(1).disable_guard_cache(!cached);
             b.iter(|| {
                 BoundedSearcher::with_engine_config(&schema, &initial, false, config)
-                    .search(&formula)
+                    .run(&formula)
+                    .verdict
                     .is_satisfiable()
             });
-            set_guard_cache_enabled(true);
         });
     }
     keys.finish();

@@ -4,9 +4,8 @@
 
 use accltl_automata::applications::{containment_automaton, ltr_automaton};
 use accltl_automata::{
-    accltl_plus_to_automaton, bounded_emptiness, bounded_emptiness_batch,
-    bounded_emptiness_batch_with_config, bounded_emptiness_report, AAutomaton, EmptinessConfig,
-    EmptinessOutcome,
+    accltl_plus_to_automaton, bounded_emptiness_batch_with_config, bounded_emptiness_report,
+    AAutomaton, EmptinessConfig, EmptinessOutcome,
 };
 use accltl_logic::bounded::{
     BoundedSearchConfig, BoundedSearcher, MonitorSession as BoundedSession, SatOutcome,
@@ -314,7 +313,9 @@ impl AccessAnalyzer {
     /// properties that dispatch to the same engine through one shared
     /// configuration-space exploration: zero-ary fragments share one
     /// [`BoundedSearcher::run_batch`] run, `AccLTL+` formulas share one
-    /// [`bounded_emptiness_batch`] run, and full-language formulas share a
+    /// [`bounded_emptiness_batch_with_config`] run (configured by
+    /// [`EmptinessConfig::engine_config`] unless the request carries its own
+    /// config), and full-language formulas share a
     /// second bounded batch.  Reports come back in input order, and each is
     /// identical to what [`AccessAnalyzer::check_satisfiable`] returns for
     /// that property alone (the engine's determinism contract).
@@ -398,17 +399,11 @@ impl AccessAnalyzer {
                 .map(|&index| accltl_plus_to_automaton(&request.properties[index]))
                 .collect();
             let refs: Vec<&AAutomaton> = automata.iter().collect();
-            let emptiness = match request.config {
-                Some(engine) => {
-                    bounded_emptiness_batch_with_config(&refs, &self.schema, &self.initial, engine)
-                }
-                None => bounded_emptiness_batch(
-                    &refs,
-                    &self.schema,
-                    &self.initial,
-                    &self.emptiness_config,
-                ),
-            };
+            let engine = request
+                .config
+                .unwrap_or_else(|| self.emptiness_config.engine_config());
+            let emptiness =
+                bounded_emptiness_batch_with_config(&refs, &self.schema, &self.initial, engine);
             for (&index, report) in plus.iter().zip(emptiness) {
                 let run = RunReport::from_search(&report).with_chase(self.chase_stats);
                 let outcome = match report.verdict {
@@ -445,12 +440,14 @@ impl AccessAnalyzer {
             return ContainmentOutcome::Contained;
         }
         let automaton = containment_automaton(&self.schema, q1, q2, &self.disjointness);
-        match bounded_emptiness(
+        match bounded_emptiness_report(
             &automaton,
             &self.schema,
             &self.initial,
             &self.emptiness_config,
-        ) {
+        )
+        .verdict
+        {
             EmptinessOutcome::Empty => ContainmentOutcome::Contained,
             EmptinessOutcome::NonEmpty { witness } => ContainmentOutcome::NotContained {
                 counterexample: witness,
@@ -493,16 +490,29 @@ impl AccessAnalyzer {
                 .unwrap_or(LtrVerdict::Unknown);
         }
         // With constraints: build one automaton per disjunct and take the
-        // union of verdicts.
+        // union of verdicts.  One non-empty disjunct makes the access
+        // relevant even when an earlier one ran out of budget.
+        let mut any_unknown = false;
         for disjunct in &query.disjuncts {
             let automaton = ltr_automaton(&self.schema, access, disjunct, &self.disjointness);
-            match bounded_emptiness(&automaton, &self.schema, initial, &self.emptiness_config) {
+            match bounded_emptiness_report(
+                &automaton,
+                &self.schema,
+                initial,
+                &self.emptiness_config,
+            )
+            .verdict
+            {
                 EmptinessOutcome::NonEmpty { witness } => return LtrVerdict::Relevant { witness },
-                EmptinessOutcome::Unknown => return LtrVerdict::Unknown,
+                EmptinessOutcome::Unknown => any_unknown = true,
                 EmptinessOutcome::Empty => {}
             }
         }
-        LtrVerdict::NotRelevant
+        if any_unknown {
+            LtrVerdict::Unknown
+        } else {
+            LtrVerdict::NotRelevant
+        }
     }
 
     /// Maximal answers of a query under the access restrictions, relative to
@@ -839,6 +849,30 @@ mod tests {
             plain.long_term_relevant(&irrelevant, &jones, false),
             LtrVerdict::NotRelevant
         );
+    }
+
+    #[test]
+    fn relevance_under_constraints_scans_past_an_unknown_disjunct() {
+        // The first disjunct's automaton runs out of a 5-state budget; the
+        // second is non-empty after one step.  One non-empty disjunct makes
+        // the access relevant, whatever the earlier ones said.
+        let out_of_budget = cq!(<- atom!("Mobile#"; n, p, s, ph), atom!("Address"; s, p, n, h));
+        let jones = cq!(<- atom!("Address"; s, p, @"Jones", h));
+        let access = Access::new("AcM2", tuple!["Parks Rd", "OX13QD"]);
+        let a = analyzer()
+            .with_disjointness(DisjointnessConstraint::new("Mobile#", 0, "Address", 0))
+            .with_emptiness_config(EmptinessConfig {
+                max_states: 5,
+                threads: 1,
+                ..EmptinessConfig::default()
+            });
+        assert_eq!(
+            a.long_term_relevant(&access, &UnionOfCqs::single(out_of_budget.clone()), false),
+            LtrVerdict::Unknown
+        );
+        let verdict =
+            a.long_term_relevant(&access, &UnionOfCqs::new(vec![out_of_budget, jones]), false);
+        assert!(verdict.is_relevant(), "got {verdict:?}");
     }
 
     #[test]

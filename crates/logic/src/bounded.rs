@@ -712,23 +712,6 @@ impl<'a> BoundedSearcher<'a> {
         session.finish_step(false, delta);
         session
     }
-
-    /// Deprecated alias of [`BoundedSearcher::run`] returning the verdict
-    /// alone; kept so existing callers compile unchanged.
-    #[must_use]
-    pub fn search(&self, formula: &AccLtl) -> SatOutcome {
-        self.run(formula).verdict
-    }
-
-    /// Deprecated alias of [`BoundedSearcher::run`] returning the historical
-    /// `(verdict, stats)` pair; kept so existing callers compile unchanged.
-    /// All consults count as misses when the cache is disabled, so cached
-    /// and uncached runs report the same total.
-    #[must_use]
-    pub fn search_with_stats(&self, formula: &AccLtl) -> (SatOutcome, GuardCacheStats) {
-        let report = self.run(formula);
-        (report.verdict, report.cache)
-    }
 }
 
 /// Builds the per-formula property specs over `initial`, runs them through
@@ -1141,7 +1124,7 @@ mod tests {
             true,
             BoundedSearchConfig::default(),
         );
-        let outcome = searcher.search(&f);
+        let outcome = searcher.run(&f).verdict;
         check_witness(&f, &outcome, true);
     }
 
@@ -1160,7 +1143,7 @@ mod tests {
             true,
             BoundedSearchConfig::default(),
         );
-        assert_eq!(searcher.search(&f), SatOutcome::Unsatisfiable);
+        assert_eq!(searcher.run(&f).verdict, SatOutcome::Unsatisfiable);
     }
 
     #[test]
@@ -1182,7 +1165,7 @@ mod tests {
             true,
             BoundedSearchConfig::default(),
         );
-        let outcome = searcher.search(&f);
+        let outcome = searcher.run(&f).verdict;
         check_witness(&f, &outcome, true);
         if let SatOutcome::Satisfiable { witness } = &outcome {
             // A Mobile# fact must eventually appear in a pre-instance, so the
@@ -1204,7 +1187,10 @@ mod tests {
                 AccLtl::atom(isbind_prop("AcM2")),
             ),
         ]);
-        assert_eq!(searcher.search(&contradictory), SatOutcome::Unsatisfiable);
+        assert_eq!(
+            searcher.run(&contradictory).verdict,
+            SatOutcome::Unsatisfiable
+        );
     }
 
     #[test]
@@ -1237,7 +1223,7 @@ mod tests {
             false,
             BoundedSearchConfig::default(),
         );
-        let outcome = searcher.search(&dataflow);
+        let outcome = searcher.run(&dataflow).verdict;
         check_witness(&dataflow, &outcome, false);
     }
 
@@ -1260,13 +1246,13 @@ mod tests {
             ..BoundedSearchConfig::default()
         };
         let searcher = BoundedSearcher::new(&schema, &Instance::new(), false, grounded_config);
-        assert_eq!(searcher.search(&f), SatOutcome::Unsatisfiable);
+        assert_eq!(searcher.run(&f).verdict, SatOutcome::Unsatisfiable);
 
         // With an initial instance supplying the value, it becomes satisfiable.
         let mut initial = Instance::new();
         initial.add_fact("Address", tuple!["Parks Rd", "OX13QD", "Smith", 13]);
         let searcher = BoundedSearcher::new(&schema, &initial, false, grounded_config);
-        let outcome = searcher.search(&f);
+        let outcome = searcher.run(&f).verdict;
         assert!(outcome.is_satisfiable());
     }
 
@@ -1286,7 +1272,10 @@ mod tests {
                 ..BoundedSearchConfig::default()
             },
         );
-        assert!(matches!(searcher.search(&f), SatOutcome::Unknown { .. }));
+        assert!(matches!(
+            searcher.run(&f).verdict,
+            SatOutcome::Unknown { .. }
+        ));
     }
 
     #[test]
@@ -1299,14 +1288,17 @@ mod tests {
             true,
             BoundedSearchConfig::default(),
         );
-        assert_eq!(default_searcher.search(&g_false), SatOutcome::Unsatisfiable);
+        assert_eq!(
+            default_searcher.run(&g_false).verdict,
+            SatOutcome::Unsatisfiable
+        );
 
         let allow_empty = BoundedSearchConfig {
             allow_empty_path: true,
             ..BoundedSearchConfig::default()
         };
         let empty_searcher = BoundedSearcher::new(&schema, &Instance::new(), true, allow_empty);
-        let outcome = empty_searcher.search(&g_false);
+        let outcome = empty_searcher.run(&g_false).verdict;
         assert!(matches!(
             outcome,
             SatOutcome::Satisfiable { ref witness } if witness.is_empty()
@@ -1323,7 +1315,7 @@ mod tests {
         let f = AccLtl::atom(mobile_pre_nonempty());
         let searcher =
             BoundedSearcher::new(&schema, &initial, true, BoundedSearchConfig::default());
-        let outcome = searcher.search(&f);
+        let outcome = searcher.run(&f).verdict;
         assert!(outcome.is_satisfiable());
 
         // Over the empty initial instance the same formula is unsatisfiable:
@@ -1334,7 +1326,7 @@ mod tests {
             true,
             BoundedSearchConfig::default(),
         );
-        assert_eq!(searcher.search(&f), SatOutcome::Unsatisfiable);
+        assert_eq!(searcher.run(&f).verdict, SatOutcome::Unsatisfiable);
     }
 
     fn resident_post(name: &str) -> AccLtl {

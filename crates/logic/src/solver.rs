@@ -66,7 +66,9 @@ pub fn sat_zero_fragment(
     config: &BoundedSearchConfig,
 ) -> Result<SatOutcome, SolverError> {
     require_fragment(formula, Fragment::ZeroAryWithInequalities)?;
-    Ok(BoundedSearcher::new(schema, initial, true, *config).search(formula))
+    Ok(BoundedSearcher::new(schema, initial, true, *config)
+        .run(formula)
+        .verdict)
 }
 
 /// Satisfiability of an `AccLTL(X)(FO∃+[,≠]0−Acc)` formula (Theorem 4.14 /
@@ -80,7 +82,9 @@ pub fn sat_x_fragment(
     config: &BoundedSearchConfig,
 ) -> Result<SatOutcome, SolverError> {
     require_fragment(formula, Fragment::XZeroAry)?;
-    Ok(BoundedSearcher::new(schema, initial, true, *config).search(formula))
+    Ok(BoundedSearcher::new(schema, initial, true, *config)
+        .run(formula)
+        .verdict)
 }
 
 /// Bounded satisfiability of an `AccLTL+` (binding-positive) formula
@@ -99,7 +103,9 @@ pub fn sat_binding_positive_bounded(
     config: &BoundedSearchConfig,
 ) -> Result<SatOutcome, SolverError> {
     require_fragment(formula, Fragment::BindingPositive)?;
-    Ok(BoundedSearcher::new(schema, initial, false, *config).search(formula))
+    Ok(BoundedSearcher::new(schema, initial, false, *config)
+        .run(formula)
+        .verdict)
 }
 
 /// Bounded satisfiability for the full (undecidable) languages
@@ -114,7 +120,10 @@ pub fn sat_full_bounded(
     initial: &Instance,
     config: &BoundedSearchConfig,
 ) -> SatOutcome {
-    match BoundedSearcher::new(schema, initial, false, *config).search(formula) {
+    match BoundedSearcher::new(schema, initial, false, *config)
+        .run(formula)
+        .verdict
+    {
         SatOutcome::Unsatisfiable => SatOutcome::Unknown { explored: 0 },
         other => other,
     }
@@ -133,7 +142,9 @@ pub fn valid_bounded(
 ) -> ValidityOutcome {
     let negation = AccLtl::not(formula.clone());
     let zero_ary = belongs_to(&negation, Fragment::ZeroAryWithInequalities);
-    let outcome = BoundedSearcher::new(schema, initial, zero_ary, *config).search(&negation);
+    let outcome = BoundedSearcher::new(schema, initial, zero_ary, *config)
+        .run(&negation)
+        .verdict;
     match outcome {
         SatOutcome::Satisfiable { witness } => ValidityOutcome::NotValid {
             counterexample: witness,

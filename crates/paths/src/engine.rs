@@ -27,9 +27,8 @@
 //! candidate enumeration order, chunk structure, budget accounting and
 //! witness choice only ever depend on the property's own universe and
 //! config, never on its batch neighbours.
-//!
-//! [`FrontierEngine`] remains as the single-property front: it is a thin
-//! wrapper that runs a one-property batch.
+//! A single property is a one-spec batch: every front-end goes through
+//! [`BatchEngine::run`].
 //!
 //! Engine responsibilities:
 //!
@@ -82,7 +81,9 @@
 //! flags live with their subsystems — `ACCLTL_DISABLE_LTS_OVERLAY` in
 //! [`crate::lts::LtsOptions::from_env`] and
 //! `ACCLTL_DISABLE_INCREMENTAL_CHASE` in
-//! `accltl_relational::chase::ChaseConfig::from_env`.
+//! `accltl_relational::chase::ChaseConfig::from_env` (and the tracing knobs
+//! in `accltl_obs::trace`).  Clippy's `disallowed-methods` rule
+//! (`clippy.toml`) rejects any other `std::env` read.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::hash::Hash;
@@ -108,10 +109,6 @@ pub const THREADS_ENV_VAR: &str = "ACCLTL_SEARCH_THREADS";
 /// default [`EngineConfig::index_cutoff`] (`0` is meaningful: index every
 /// relation).
 pub const INDEX_CUTOFF_ENV_VAR: &str = "ACCLTL_INDEX_CUTOFF";
-
-/// The environment variable consulted by [`EngineConfig::from_env`] for the
-/// default [`EngineConfig::steal_batch`].
-pub const STEAL_BATCH_ENV_VAR: &str = "ACCLTL_STEAL_BATCH";
 
 /// `ACCLTL_DISABLE_SESSION_REUSE=1` makes monitoring sessions re-run every
 /// step from scratch instead of reusing the persistent session state (the
@@ -287,7 +284,7 @@ pub trait StepOracle: Send + Sync {
 }
 
 /// Borrowed oracles are oracles, so a caller can keep ownership while a
-/// batch runs (the single-property [`FrontierEngine`] relies on this).
+/// batch runs (and inspect the oracle's tables afterwards).
 impl<O: StepOracle + ?Sized> StepOracle for &O {
     type State = O::State;
     type StateCtx = O::StateCtx;
@@ -349,9 +346,11 @@ pub const MAX_RESPONSE_GROUP: usize = 12;
 /// Configuration of the shared frontier engine.
 ///
 /// Construct with [`EngineConfig::from_env`] (equivalently
-/// `EngineConfig::default()`), which folds the `ACCLTL_*` environment
-/// variables in as defaults — **the only place in the workspace they are
-/// read** — then override individual knobs with the builder methods:
+/// `EngineConfig::default()`), which folds the engine's `ACCLTL_*`
+/// environment variables in as defaults — the only place *those* variables
+/// are read (the LTS, chase and tracing knobs have their own read sites, see
+/// the module docs) — then override individual knobs with the builder
+/// methods:
 ///
 /// ```
 /// use accltl_paths::engine::EngineConfig;
@@ -394,11 +393,6 @@ pub struct EngineConfig {
     /// state's base via `Instance::set_index_cutoff`).  A performance knob:
     /// never affects verdicts.
     pub index_cutoff: usize,
-    /// Number of frontier tasks a pool worker claims (or steals) at a time
-    /// (`0` is treated as 1).  Larger batches amortize deque locking on tiny
-    /// tasks at the cost of coarser stealing.  Verdicts and witnesses do not
-    /// depend on this value.
-    pub steal_batch: usize,
     /// Re-run every monitoring-session step from scratch instead of reusing
     /// the persistent [`SessionState`] (the `ACCLTL_DISABLE_SESSION_REUSE=1`
     /// ablation).  Verdicts, witnesses, explored counts and consult totals
@@ -422,29 +416,26 @@ impl EngineConfig {
             disable_indexes: false,
             disable_guard_cache: false,
             index_cutoff: INDEX_CUTOFF,
-            steal_batch: 1,
             disable_session_reuse: false,
         }
     }
 
     /// [`EngineConfig::base`] with the `ACCLTL_*` environment variables
     /// folded in as defaults: [`THREADS_ENV_VAR`] seeds `threads`,
-    /// [`INDEX_CUTOFF_ENV_VAR`] seeds `index_cutoff`,
-    /// [`STEAL_BATCH_ENV_VAR`] seeds `steal_batch`, and
+    /// [`INDEX_CUTOFF_ENV_VAR`] seeds `index_cutoff`, and
     /// `ACCLTL_DISABLE_INDEXES=1` / `ACCLTL_DISABLE_GUARD_CACHE=1` /
     /// `ACCLTL_DISABLE_SESSION_REUSE=1` set the
     /// corresponding ablation flags.  This is the single place the
     /// workspace reads those variables; every search front-end starts from
     /// it.  (The observability knobs `ACCLTL_TRACE` / `ACCLTL_STATS` follow
-    /// the same read-once convention, in `accltl_obs::trace`.)
+    /// the same read-once convention, in `accltl_obs::trace`; clippy's
+    /// `disallowed-methods` rule keeps every other `std::env` read out.)
     #[must_use]
+    #[allow(clippy::disallowed_methods)] // a documented `ACCLTL_*` read site
     pub fn from_env() -> Self {
         let mut config = EngineConfig::base();
         if let Some(n) = env_usize(THREADS_ENV_VAR) {
             config.threads = n;
-        }
-        if let Some(n) = env_usize(STEAL_BATCH_ENV_VAR) {
-            config.steal_batch = n;
         }
         if let Some(n) = std::env::var(INDEX_CUTOFF_ENV_VAR)
             .ok()
@@ -535,13 +526,6 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the pool steal-batch size (`0` is treated as 1).
-    #[must_use]
-    pub fn steal_batch(mut self, steal_batch: usize) -> Self {
-        self.steal_batch = steal_batch;
-        self
-    }
-
     /// Makes monitoring sessions re-run every step from scratch.
     #[must_use]
     pub fn disable_session_reuse(mut self, disable_session_reuse: bool) -> Self {
@@ -562,10 +546,12 @@ impl Default for EngineConfig {
     }
 }
 
+#[allow(clippy::disallowed_methods)] // part of the `EngineConfig::from_env` read site
 fn env_flag(name: &str) -> bool {
     std::env::var(name).map(|v| v == "1").unwrap_or(false)
 }
 
+#[allow(clippy::disallowed_methods)] // part of the `EngineConfig::from_env` read site
 fn env_usize(name: &str) -> Option<usize> {
     std::env::var(name)
         .ok()
@@ -1155,22 +1141,16 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
         // [`crate::pool`]) expands the union of all properties' chunks, so
         // idle workers steal across properties; results merge per property
         // in frontier order, so verdicts, witnesses, budget cutoffs and
-        // consult totals are independent of `threads` and `steal_batch`.
+        // consult totals are independent of `threads`.
         let threads = runs
             .iter()
             .map(|run| run.config.threads.max(1))
-            .max()
-            .unwrap_or(1);
-        let steal_batch = runs
-            .iter()
-            .map(|run| run.config.steal_batch.max(1))
             .max()
             .unwrap_or(1);
         let this: &BatchEngine<'a, O> = self;
         let runs = RwLock::new(runs);
         pool::scoped(
             threads,
-            steal_batch,
             |&(run_index, node_id): &(usize, u32)| {
                 // EXPAND phase: read-locked, so any number of workers
                 // expand concurrently; the write-locked SELECT/MERGE
@@ -1785,77 +1765,6 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
     }
 }
 
-/// The single-property frontier engine: a thin front over a one-property
-/// [`BatchEngine`].  See the module docs for the division of labour between
-/// engine and [`StepOracle`].
-pub struct FrontierEngine<'a, O: StepOracle> {
-    schema: &'a AccessSchema,
-    oracle: &'a O,
-    universe: FactUniverse,
-    initial: Arc<Instance>,
-    constants: BTreeSet<Value>,
-    config: EngineConfig,
-}
-
-impl<'a, O: StepOracle> FrontierEngine<'a, O> {
-    /// Creates an engine over a schema, universe and initial instance.
-    /// `constants` are extra values (formula or automaton constants) eligible
-    /// as guessed binding values.
-    pub fn new(
-        schema: &'a AccessSchema,
-        oracle: &'a O,
-        universe: FactUniverse,
-        initial: Arc<Instance>,
-        constants: &BTreeSet<Value>,
-        config: EngineConfig,
-    ) -> Self {
-        FrontierEngine {
-            schema,
-            oracle,
-            universe,
-            initial,
-            constants: constants.clone(),
-            config,
-        }
-    }
-
-    /// The universe the engine searches over.
-    #[must_use]
-    pub fn universe(&self) -> &FactUniverse {
-        &self.universe
-    }
-
-    /// The oracle's guard-verdict cache counters, if it keeps any
-    /// (see [`StepOracle::cache_stats`]).
-    #[must_use]
-    pub fn cache_stats(&self) -> Option<GuardCacheStats> {
-        self.oracle.cache_stats()
-    }
-
-    /// Runs the breadth-first search from the given logical start state.
-    #[must_use]
-    pub fn run(&self, start: O::State) -> EngineOutcome {
-        self.report(start).outcome
-    }
-
-    /// Runs the search and returns the full [`EngineReport`] (outcome plus
-    /// budget and cache accounting).
-    #[must_use]
-    pub fn report(&self, start: O::State) -> EngineReport {
-        let mut batch: BatchEngine<'_, &O> = BatchEngine::new(self.schema, self.initial.clone());
-        batch
-            .run(vec![PropertySpec {
-                oracle: self.oracle,
-                start,
-                universe: self.universe.clone(),
-                constants: self.constants.clone(),
-                config: self.config,
-            }])
-            .pop()
-            .expect("one property in, one report out")
-    }
-}
-
 /// The resumable engine state behind a monitoring session: one persistent
 /// [`BatchEngine`] whose interned fact table, prepared-context cache,
 /// candidate enumerations and per-candidate contexts survive across steps,
@@ -1988,18 +1897,38 @@ mod tests {
         ])
     }
 
+    /// Runs one property through a fresh one-spec [`BatchEngine`].
+    fn run_one<O: StepOracle>(
+        schema: &AccessSchema,
+        oracle: O,
+        universe: FactUniverse,
+        initial: Instance,
+        start: O::State,
+        config: EngineConfig,
+    ) -> EngineReport {
+        BatchEngine::new(schema, Arc::new(initial))
+            .run(vec![PropertySpec {
+                oracle,
+                start,
+                universe,
+                constants: BTreeSet::new(),
+                config,
+            }])
+            .pop()
+            .expect("one property in, one report out")
+    }
+
     fn engine_outcome(config: EngineConfig, start: u8) -> EngineOutcome {
         let schema = phone_directory_access_schema();
-        let oracle = CountdownOracle;
-        let engine = FrontierEngine::new(
+        run_one(
             &schema,
-            &oracle,
+            CountdownOracle,
             universe(),
-            Arc::new(Instance::new()),
-            &BTreeSet::new(),
+            Instance::new(),
+            start,
             config,
-        );
-        engine.run(start)
+        )
+        .outcome
     }
 
     /// Registers a one-property batch and returns the candidates of its
@@ -2010,11 +1939,10 @@ mod tests {
         universe: FactUniverse,
         config: EngineConfig,
     ) -> Vec<OwnedCandidate> {
-        let oracle = CountdownOracle;
-        let mut batch: BatchEngine<'_, &CountdownOracle> =
+        let mut batch: BatchEngine<'_, CountdownOracle> =
             BatchEngine::new(schema, Arc::new(Instance::new()));
         let run = batch.register(PropertySpec {
-            oracle: &oracle,
+            oracle: CountdownOracle,
             start: 1u8,
             universe,
             constants: BTreeSet::new(),
@@ -2080,27 +2008,25 @@ mod tests {
         // One batch carrying three countdown properties over the same
         // universe must reproduce each standalone outcome and report.
         let schema = phone_directory_access_schema();
-        let oracle = CountdownOracle;
         let spec = |start: u8| PropertySpec {
-            oracle: &oracle,
+            oracle: CountdownOracle,
             start,
             universe: universe(),
             constants: BTreeSet::new(),
             config: EngineConfig::base(),
         };
-        let mut batch: BatchEngine<'_, &CountdownOracle> =
+        let mut batch: BatchEngine<'_, CountdownOracle> =
             BatchEngine::new(&schema, Arc::new(Instance::new()));
         let batched = batch.run(vec![spec(1), spec(2), spec(3)]);
         for (start, report) in [1u8, 2, 3].into_iter().zip(&batched) {
-            let standalone = FrontierEngine::new(
+            let standalone = run_one(
                 &schema,
-                &oracle,
+                CountdownOracle,
                 universe(),
-                Arc::new(Instance::new()),
-                &BTreeSet::new(),
+                Instance::new(),
+                start,
                 EngineConfig::base(),
-            )
-            .report(start);
+            );
             assert_eq!(report, &standalone, "property with start {start} diverged");
         }
     }
@@ -2108,19 +2034,18 @@ mod tests {
     #[test]
     fn per_property_budgets_cut_off_independently() {
         let schema = phone_directory_access_schema();
-        let oracle = CountdownOracle;
-        let mut batch: BatchEngine<'_, &CountdownOracle> =
+        let mut batch: BatchEngine<'_, CountdownOracle> =
             BatchEngine::new(&schema, Arc::new(Instance::new()));
         let reports = batch.run(vec![
             PropertySpec {
-                oracle: &oracle,
+                oracle: CountdownOracle,
                 start: 2u8,
                 universe: universe(),
                 constants: BTreeSet::new(),
                 config: EngineConfig::base().max_guard_checks(3),
             },
             PropertySpec {
-                oracle: &oracle,
+                oracle: CountdownOracle,
                 start: 2u8,
                 universe: universe(),
                 constants: BTreeSet::new(),
@@ -2174,16 +2099,15 @@ mod tests {
                     )
                 })
                 .collect();
-            let oracle = DeadOracle;
-            FrontierEngine::new(
+            run_one(
                 &schema,
-                &oracle,
+                DeadOracle,
                 FactUniverse::new(facts),
-                Arc::new(Instance::new()),
-                &BTreeSet::new(),
+                Instance::new(),
+                0,
                 config,
             )
-            .run(0)
+            .outcome
         };
         // Within the group cap, exhaustion is a completeness certificate...
         assert_eq!(run_with(12, EngineConfig::base()), EngineOutcome::Exhausted);
@@ -2218,16 +2142,15 @@ mod tests {
         for (rel, tuple) in &facts {
             initial.add_fact(*rel, tuple.clone());
         }
-        let oracle = DeadOracle;
-        let outcome = FrontierEngine::new(
+        let outcome = run_one(
             &schema,
-            &oracle,
+            DeadOracle,
             FactUniverse::new(facts),
-            Arc::new(initial),
-            &BTreeSet::new(),
+            initial,
+            0,
             EngineConfig::base(),
         )
-        .run(0);
+        .outcome;
         assert_eq!(outcome, EngineOutcome::Exhausted);
     }
 
@@ -2345,9 +2268,10 @@ mod tests {
 
     #[test]
     fn from_env_is_the_single_env_read_site() {
-        // Nothing else in the workspace may call std::env::var for the
-        // ACCLTL_* knobs; this test pins the defaults when the variables
-        // are unset (the harness does not set them).
+        // This test only pins the environment-independent `base()`
+        // defaults.  The one-read-site-per-knob rule itself is enforced by
+        // clippy's `disallowed-methods` (see `clippy.toml`): only the
+        // documented read sites may call `std::env::var`.
         let config = EngineConfig::base();
         assert_eq!(config.threads, 1);
         assert!(!config.disable_indexes);
@@ -2355,7 +2279,6 @@ mod tests {
         assert_eq!(config.max_response_group, MAX_RESPONSE_GROUP);
         assert_eq!(config.max_guard_checks, usize::MAX);
         assert_eq!(config.index_cutoff, INDEX_CUTOFF);
-        assert_eq!(config.steal_batch, 1);
         assert!(!config.disable_session_reuse);
     }
 }

@@ -97,6 +97,7 @@ impl LtsOptions {
     /// The baseline with [`DISABLE_LTS_OVERLAY_ENV_VAR`] applied — the single
     /// place that variable is read.
     #[must_use]
+    #[allow(clippy::disallowed_methods)] // a documented `ACCLTL_*` read site
     pub fn from_env() -> Self {
         let disabled = std::env::var(DISABLE_LTS_OVERLAY_ENV_VAR)
             .map(|v| v == "1")

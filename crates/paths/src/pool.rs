@@ -18,15 +18,14 @@
 //! caller reassembles the slots positionally.  Scheduling therefore affects
 //! wall-clock only; the engine's merge loop sees expansions in frontier
 //! order and replays verdicts, witnesses, budget cutoffs and consult totals
-//! byte-identically for every `threads`/`steal_batch` setting.  (The
+//! byte-identically for every `threads` setting.  (The
 //! `hit`/`miss` *split* of shared caches can still vary with physical
 //! interleaving — totals and verdicts cannot.)
 //!
 //! # Scheduling
 //!
-//! Tasks are dealt round-robin to per-worker deques in contiguous
-//! [`EngineConfig::steal_batch`](crate::engine::EngineConfig::steal_batch)-sized
-//! runs.  A worker pops from the *front* of its own deque (cache-friendly,
+//! Tasks are dealt round-robin to per-worker deques, one task per range.
+//! A worker pops from the *front* of its own deque (cache-friendly,
 //! in deal order) and, when empty, steals from the *back* of a neighbour's —
 //! the classic split that keeps owners and thieves off the same end.  The
 //! caller participates as worker 0, so `threads = 1` (or a single task)
@@ -168,7 +167,6 @@ pub struct Pool<'env, T, U, F> {
     job: &'env F,
     shared: Option<&'env Shared<T, U>>,
     threads: usize,
-    steal_batch: usize,
 }
 
 impl<T, U, F> Pool<'_, T, U, F>
@@ -194,17 +192,11 @@ where
             return tasks.iter().map(self.job).collect();
         };
 
-        // Deal steal_batch-sized contiguous runs of task indexes round-robin
-        // onto the per-worker deques.
+        // Deal one-task ranges round-robin onto the per-worker deques.
         let mut deques: Vec<VecDeque<Range<usize>>> =
             (0..self.threads).map(|_| VecDeque::new()).collect();
-        let mut start = 0;
-        let mut slot = 0;
-        while start < count {
-            let end = (start + self.steal_batch).min(count);
-            deques[slot % self.threads].push_back(start..end);
-            start = end;
-            slot += 1;
+        for index in 0..count {
+            deques[index % self.threads].push_back(index..index + 1);
         }
 
         let round = Arc::new(Round {
@@ -299,25 +291,18 @@ impl<T, U> Drop for ShutdownGuard<'_, T, U> {
 /// `body` a [`Pool`] for submitting rounds of `job` tasks, and joins the
 /// workers when `body` returns.  With `threads <= 1` no thread is spawned
 /// and every round runs inline on the caller.
-pub fn scoped<T, U, F, R>(
-    threads: usize,
-    steal_batch: usize,
-    job: F,
-    body: impl FnOnce(&Pool<'_, T, U, F>) -> R,
-) -> R
+pub fn scoped<T, U, F, R>(threads: usize, job: F, body: impl FnOnce(&Pool<'_, T, U, F>) -> R) -> R
 where
     T: Send + Sync,
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
     let threads = threads.max(1);
-    let steal_batch = steal_batch.max(1);
     if threads == 1 {
         return body(&Pool {
             job: &job,
             shared: None,
             threads,
-            steal_batch,
         });
     }
     let shared = Shared {
@@ -339,7 +324,6 @@ where
             job: &job,
             shared: Some(&shared),
             threads,
-            steal_batch,
         })
     })
 }
@@ -351,15 +335,12 @@ mod tests {
     #[test]
     fn results_come_back_in_task_order() {
         for threads in [1, 2, 4, 8] {
-            for steal_batch in [1, 3, 64] {
-                let got = scoped(
-                    threads,
-                    steal_batch,
-                    |&x: &usize| x * 2,
-                    |pool| pool.run((0..100).collect()),
-                );
-                assert_eq!(got, (0..100).map(|x| x * 2).collect::<Vec<_>>());
-            }
+            let got = scoped(
+                threads,
+                |&x: &usize| x * 2,
+                |pool| pool.run((0..100).collect()),
+            );
+            assert_eq!(got, (0..100).map(|x| x * 2).collect::<Vec<_>>());
         }
     }
 
@@ -367,7 +348,6 @@ mod tests {
     fn many_rounds_reuse_one_worker_set() {
         scoped(
             4,
-            1,
             |&x: &u64| x + 1,
             |pool| {
                 for round in 0..50u64 {
@@ -383,7 +363,7 @@ mod tests {
 
     #[test]
     fn threads_beyond_task_count_are_harmless() {
-        let got = scoped(16, 4, |&x: &i32| -x, |pool| pool.run(vec![1, 2, 3]));
+        let got = scoped(16, |&x: &i32| -x, |pool| pool.run(vec![1, 2, 3]));
         assert_eq!(got, vec![-1, -2, -3]);
     }
 
@@ -399,7 +379,6 @@ mod tests {
             for _ in 0..200 {
                 scoped(
                     8,
-                    1,
                     |&x: &usize| x + 1,
                     |pool| {
                         for round in 0..200usize {
@@ -421,7 +400,6 @@ mod tests {
         let result = panic::catch_unwind(AssertUnwindSafe(|| {
             scoped(
                 4,
-                1,
                 |&x: &usize| {
                     assert_ne!(x, 7, "boom");
                     x

@@ -63,11 +63,18 @@ impl Default for LtrOptions {
 /// The verdict of the long-term relevance check.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LtrVerdict {
-    /// The access is long-term relevant; a witnessing access path is returned
-    /// (its first step is the access in question).
+    /// The access is long-term relevant; a witnessing access path is
+    /// returned.  Its shape depends on the procedure that found it:
+    ///
+    /// * [`long_term_relevant`] (no constraints): the first step is the
+    ///   access in question, and `Q` holds after the path but not after
+    ///   dropping that first step;
+    /// * the Proposition 4.4 automaton (`accltl-automata`'s `ltr_automaton`,
+    ///   used under disjointness constraints): *some* step of the path is
+    ///   the access in question, `Q` is false before that step and true
+    ///   after it, and the constraints hold throughout the path.
     Relevant {
-        /// A witness path: `Q` holds after it but not after dropping its first
-        /// access.
+        /// A witness path, of one of the two shapes above.
         witness: AccessPath,
     },
     /// The access is not long-term relevant (within the enumerated witness

@@ -82,6 +82,7 @@ impl ChaseConfig {
     /// The baseline with [`DISABLE_INCREMENTAL_CHASE_ENV_VAR`] applied — the
     /// single place that variable is read.
     #[must_use]
+    #[allow(clippy::disallowed_methods)] // a documented `ACCLTL_*` read site
     pub fn from_env() -> Self {
         let disabled = std::env::var(DISABLE_INCREMENTAL_CHASE_ENV_VAR)
             .map(|v| v == "1")

@@ -30,10 +30,13 @@
 //!
 //! # Scan fallback
 //!
-//! Setting `ACCLTL_DISABLE_INDEXES=1` (see [`DISABLE_INDEXES_ENV_VAR`])
-//! disables index builds and lookups process-wide; every consumer silently
-//! falls back to the scanning defaults.  [`ScanView`] offers the same
-//! fallback per call site (used by the parity tests and the A/B benches).
+//! [`ScanView`] falls back to the scanning defaults per call site: the
+//! bounded searches wrap their evaluation views in it when their engine
+//! config sets `disable_indexes` (which `ACCLTL_DISABLE_INDEXES=1`, see
+//! [`DISABLE_INDEXES_ENV_VAR`], does through `EngineConfig::from_env`).
+//! [`set_indexing_enabled`]`(false)` disables index builds and lookups
+//! process-wide; it is the reference path of the index differential tests
+//! (Datalog fixpoint, incremental chase, LTS overlay tree).
 //! Relations smaller than [`INDEX_CUTOFF`] are always answered by scanning —
 //! for a handful of tuples a scan beats a hash probe, and the searches run on
 //! many tiny delta instances.

@@ -12,15 +12,15 @@ mod common;
 use proptest::prelude::*;
 
 use accltl_core::automata::{
-    accltl_plus_to_automaton, bounded_emptiness_batch, bounded_emptiness_batch_with_config,
-    bounded_emptiness_report, EmptinessConfig, EmptinessOutcome,
+    accltl_plus_to_automaton, bounded_emptiness_batch_with_config, bounded_emptiness_report,
+    EmptinessConfig, EmptinessOutcome,
 };
 use accltl_core::logic::bounded::BoundedSearcher;
 use accltl_core::prelude::*;
 
 use common::{
-    dataflow_formula, digest, flag_lock, jones_post, mobile_pre, random_formula, random_initial,
-    with_cache_disabled,
+    dataflow_formula, digest, emptiness_with, jones_post, mobile_pre, random_formula,
+    random_initial,
 };
 
 /// Strategy: a batch of 2–4 formulas.
@@ -46,7 +46,6 @@ proptest! {
         zero_ary in any::<bool>(),
     ) {
         let split = split_of(&batch, split_seed);
-        let _guard = flag_lock();
         let schema = phone_directory_access_schema();
         let searcher = BoundedSearcher::new(
             &schema,
@@ -73,7 +72,6 @@ proptest! {
         initial in random_initial(),
     ) {
         let _ = split_seed;
-        let _guard = flag_lock();
         let schema = phone_directory_access_schema();
         let mut verdicts_by_threads: Vec<Vec<SatOutcome>> = Vec::new();
         for threads in [1usize, 4] {
@@ -105,16 +103,13 @@ proptest! {
         initial in random_initial(),
     ) {
         let _ = split_seed;
-        let _guard = flag_lock();
         let schema = phone_directory_access_schema();
-        let searcher = BoundedSearcher::new(
-            &schema,
-            &initial,
-            false,
-            BoundedSearchConfig { threads: 1, ..BoundedSearchConfig::default() },
-        );
-        let cached = searcher.run_batch(&batch);
-        let uncached = with_cache_disabled(|| searcher.run_batch(&batch));
+        let engine = EngineConfig::from_env().threads(1);
+        let run_batch = |engine| {
+            BoundedSearcher::with_engine_config(&schema, &initial, false, engine).run_batch(&batch)
+        };
+        let cached = run_batch(engine);
+        let uncached = run_batch(engine.disable_guard_cache(true));
         let cached_digests: Vec<_> = cached.iter().map(digest).collect();
         let uncached_digests: Vec<_> = uncached.iter().map(digest).collect();
         prop_assert_eq!(&cached_digests, &uncached_digests);
@@ -132,7 +127,6 @@ proptest! {
         initial in random_initial(),
     ) {
         let split = split_of(&batch, split_seed);
-        let _guard = flag_lock();
         let schema = phone_directory_access_schema();
         let automata: Vec<_> = batch.iter().map(accltl_plus_to_automaton).collect();
         let refs: Vec<_> = automata.iter().collect();
@@ -141,19 +135,15 @@ proptest! {
             .iter()
             .map(|a| digest(&bounded_emptiness_report(a, &schema, &initial, &config)))
             .collect();
-        let whole: Vec<_> = bounded_emptiness_batch(&refs, &schema, &initial, &config)
-            .iter()
-            .map(digest)
-            .collect();
-        let mut parts: Vec<_> = bounded_emptiness_batch(&refs[..split], &schema, &initial, &config)
-            .iter()
-            .map(digest)
-            .collect();
-        parts.extend(
-            bounded_emptiness_batch(&refs[split..], &schema, &initial, &config)
+        let batch_digests = |refs: &[&AAutomaton]| -> Vec<_> {
+            bounded_emptiness_batch_with_config(refs, &schema, &initial, config.engine_config())
                 .iter()
-                .map(digest),
-        );
+                .map(digest)
+                .collect()
+        };
+        let whole = batch_digests(&refs);
+        let mut parts = batch_digests(&refs[..split]);
+        parts.extend(batch_digests(&refs[split..]));
         prop_assert_eq!(&whole, &standalone);
         prop_assert_eq!(&parts, &standalone);
     }
@@ -173,7 +163,6 @@ proptest! {
         initial in random_initial(),
     ) {
         let _ = split_seed;
-        let _guard = flag_lock();
         let mut properties = batch;
         // Make sure every engine group is exercised alongside the random
         // formulas: an X-fragment, a zero-ary, a binding-positive and a
@@ -204,7 +193,6 @@ proptest! {
 /// cost at the cut).
 #[test]
 fn budget_cutoffs_are_partition_independent() {
-    let _guard = flag_lock();
     let schema = phone_directory_access_schema();
     let initial = Instance::new();
     let batch = vec![
@@ -230,7 +218,6 @@ fn budget_cutoffs_are_partition_independent() {
 /// budget cutoffs included.
 #[test]
 fn emptiness_budget_cutoffs_are_partition_independent() {
-    let _guard = flag_lock();
     let schema = phone_directory_access_schema();
     let initial = Instance::new();
     let automata = [
@@ -244,18 +231,7 @@ fn emptiness_budget_cutoffs_are_partition_independent() {
             .max_guard_checks(budget);
         let standalone: Vec<_> = refs
             .iter()
-            .map(|a| {
-                digest(
-                    &bounded_emptiness_batch_with_config(
-                        std::slice::from_ref(a),
-                        &schema,
-                        &initial,
-                        engine,
-                    )
-                    .pop()
-                    .expect("one report"),
-                )
-            })
+            .map(|a| digest(&emptiness_with(a, &schema, &initial, engine)))
             .collect();
         let batched: Vec<_> = bounded_emptiness_batch_with_config(&refs, &schema, &initial, engine)
             .iter()
@@ -270,7 +246,6 @@ fn emptiness_budget_cutoffs_are_partition_independent() {
 /// returns its witness, the unsatisfiable one its exhaustion.
 #[test]
 fn mixed_verdicts_early_exit_independently() {
-    let _guard = flag_lock();
     let schema = phone_directory_access_schema();
     let initial = Instance::new();
     let sat = AccLtl::finally(jones_post());
@@ -299,7 +274,6 @@ fn mixed_verdicts_early_exit_independently() {
 /// witness acceptance too for a satisfiable automaton run through the batch.
 #[test]
 fn batched_emptiness_witnesses_are_genuine() {
-    let _guard = flag_lock();
     let schema = phone_directory_access_schema();
     let initial = Instance::new();
     let automaton = accltl_plus_to_automaton(&AccLtl::finally(jones_post()));

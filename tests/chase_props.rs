@@ -1,14 +1,16 @@
 //! Property tests for the incremental chase: on random instances and random
 //! FD/IND/disjointness sets — including runs whose FD repairs equate
 //! labelled nulls across relations — the index-driven incremental chase must
-//! produce exactly the outcome of the scan-based chase, repair for repair.
+//! produce exactly the outcome of the scan-based chase, repair for repair,
+//! and the same with per-position indexes switched off process-wide.
 
 use proptest::prelude::*;
 
 use accltl_core::prelude::*;
 use accltl_core::relational::chase::{chase_with_stats, ChaseConfig, ChaseOutcome};
 use accltl_core::relational::{
-    Constraint, DisjointnessConstraint, FunctionalDependency, InclusionDependency,
+    indexing_enabled, set_indexing_enabled, Constraint, DisjointnessConstraint,
+    FunctionalDependency, InclusionDependency,
 };
 
 /// Strategy: a value drawn from a small pool of constants and labelled nulls
@@ -101,5 +103,26 @@ proptest! {
             ).0;
             prop_assert_eq!(again, ChaseOutcome::Completed(result.clone()));
         }
+    }
+
+    /// The incremental chase with indexes switched off process-wide (the
+    /// scan reference path of `relational::index`) repairs exactly as the
+    /// indexed one: the same outcome and the same mode-invariant counters.
+    #[test]
+    fn incremental_chase_is_index_independent(
+        inst in random_instance(),
+        constraints in proptest::collection::vec(random_constraint(), 0..5),
+    ) {
+        let config = ChaseConfig { max_steps: 200, incremental: true };
+        prop_assert!(indexing_enabled(), "tests run with indexes on by default");
+        let (indexed_outcome, indexed_stats) = chase_with_stats(&inst, &constraints, &config);
+        set_indexing_enabled(false);
+        let (scan_outcome, scan_stats) = chase_with_stats(&inst, &constraints, &config);
+        set_indexing_enabled(true);
+        prop_assert_eq!(&indexed_outcome, &scan_outcome);
+        prop_assert_eq!(indexed_stats.passes, scan_stats.passes);
+        prop_assert_eq!(indexed_stats.violation_checks, scan_stats.violation_checks);
+        prop_assert_eq!(indexed_stats.fd_merges, scan_stats.fd_merges);
+        prop_assert_eq!(indexed_stats.ind_additions, scan_stats.ind_additions);
     }
 }

@@ -5,30 +5,23 @@
 //! and uses a subset, hence the `dead_code` allowance.
 #![allow(dead_code)]
 
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
-
 use proptest::prelude::*;
 
+use accltl_core::automata::{bounded_emptiness_batch_with_config, AAutomaton, EmptinessOutcome};
 use accltl_core::prelude::*;
-use accltl_core::relational::{guard_cache_enabled, set_guard_cache_enabled};
 
-/// Tests that flip a process-wide flag (the guard-cache mode, `ACCLTL_*`
-/// environment variables) serialize behind this lock so an A/B comparison
-/// never observes another test's flip mid-run.
-pub fn flag_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Runs `f` with the guard cache disabled, restoring the previous mode.
-pub fn with_cache_disabled<T>(f: impl FnOnce() -> T) -> T {
-    let was_enabled = guard_cache_enabled();
-    set_guard_cache_enabled(false);
-    let result = f();
-    set_guard_cache_enabled(was_enabled);
-    result
+/// One automaton's emptiness report under an explicit engine configuration:
+/// a one-automaton `bounded_emptiness_batch_with_config`, so an A/B pair
+/// differs in exactly the [`EngineConfig`] it is given.
+pub fn emptiness_with(
+    automaton: &AAutomaton,
+    schema: &AccessSchema,
+    initial: &Instance,
+    engine: EngineConfig,
+) -> SearchReport<EmptinessOutcome> {
+    bounded_emptiness_batch_with_config(&[automaton], schema, initial, engine)
+        .pop()
+        .expect("one automaton in, one report out")
 }
 
 /// The contractual part of a search report: verdict, explored states, cost

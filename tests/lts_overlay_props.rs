@@ -1,11 +1,14 @@
 //! Property tests for overlay-backed LTS exploration: for random initial
 //! instances and exploration options, the overlay-backed explorer must
 //! produce exactly the tree the materialising explorer produces — same
-//! nodes, same labels, same child order, same `Display` rendering.
+//! nodes, same labels, same child order, same `Display` rendering — and the
+//! overlay-backed tree is the same with per-position indexes switched off
+//! process-wide.
 
 use proptest::prelude::*;
 
 use accltl_core::prelude::*;
+use accltl_core::relational::{indexing_enabled, set_indexing_enabled};
 
 /// Strategy: random exploration options (kept small enough for exhaustive
 /// comparison, large enough to hit the binding and node caps sometimes).
@@ -74,6 +77,35 @@ proptest! {
         prop_assert_eq!(overlay_tree.render(1_000), materialized_tree.render(1_000));
         // Node instances materialize identically, in order.
         for (a, b) in overlay_tree.nodes.iter().zip(&materialized_tree.nodes) {
+            prop_assert_eq!(a.instance(), b.instance());
+        }
+    }
+
+    /// The overlay-backed explorer builds the identical tree with indexes
+    /// switched off process-wide (the scan reference path of
+    /// `relational::index`).
+    #[test]
+    fn overlay_trees_are_index_independent(
+        options in random_options(),
+        initial in random_initial(),
+    ) {
+        let schema = phone_directory_access_schema();
+        let hidden = phone_directory_hidden_instance();
+        let explore = || {
+            LtsExplorer::new(&schema, &hidden, options.clone())
+                .explore(&initial)
+                .expect("exploration succeeds")
+        };
+        prop_assert!(indexing_enabled(), "tests run with indexes on by default");
+        let indexed_tree = explore();
+        set_indexing_enabled(false);
+        let scan_tree = explore();
+        set_indexing_enabled(true);
+
+        prop_assert_eq!(&indexed_tree, &scan_tree);
+        prop_assert_eq!(indexed_tree.truncated, scan_tree.truncated);
+        prop_assert_eq!(indexed_tree.render(1_000), scan_tree.render(1_000));
+        for (a, b) in indexed_tree.nodes.iter().zip(&scan_tree.nodes) {
             prop_assert_eq!(a.instance(), b.instance());
         }
     }

@@ -2,9 +2,7 @@
 //! pool (`paths::pool`): per-property verdicts, witnesses, explored counts
 //! and charged costs must be identical for every worker-thread count —
 //! including thread counts beyond the frontier size and beyond the
-//! machine's cores — and at a fixed thread count the *full* report
-//! (guard-consult totals included) must be byte-identical for every
-//! steal-batch size, because the pool merges expansion results in frontier
+//! machine's cores — because the pool merges expansion results in frontier
 //! order no matter who ran or stole which task.  (Consult totals across
 //! *different* thread counts follow the chunk structure, which scales with
 //! the thread count — see `core_digest`.)
@@ -19,17 +17,15 @@ use accltl_core::automata::{
 use accltl_core::logic::bounded::BoundedSearcher;
 use accltl_core::prelude::*;
 
-use common::{core_digest, dataflow_formula, digest, jones_post, random_formula, random_initial};
+use common::{core_digest, dataflow_formula, jones_post, random_formula, random_initial};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// One batch, every (threads, steal_batch) combination: verdicts,
-    /// explored counts and costs match the single-threaded reference, and
-    /// at each thread count the full report (consult totals included) is
-    /// byte-identical for every steal-batch size.
+    /// One batch on every thread count: verdicts, explored counts and costs
+    /// match the single-threaded reference.
     #[test]
-    fn searches_are_thread_and_steal_batch_independent(
+    fn searches_are_thread_independent(
         batch in proptest::collection::vec(random_formula(), 2..4),
         initial in random_initial(),
     ) {
@@ -45,29 +41,16 @@ proptest! {
         .map(core_digest)
         .collect();
         for threads in [2usize, 4, 8] {
-            let mut per_steal_batch: Vec<Vec<_>> = Vec::new();
-            for steal_batch in [1usize, 4] {
-                let engine = EngineConfig::base().threads(threads).steal_batch(steal_batch);
-                let searcher =
-                    BoundedSearcher::with_engine_config(&schema, &initial, false, engine);
-                let reports = searcher.run_batch(&batch);
-                let core: Vec<_> = reports.iter().map(core_digest).collect();
-                prop_assert_eq!(
-                    &core, &reference,
-                    "threads={} steal_batch={}", threads, steal_batch
-                );
-                per_steal_batch.push(reports.iter().map(digest).collect());
-            }
-            prop_assert_eq!(
-                &per_steal_batch[0], &per_steal_batch[1],
-                "steal_batch must not change any report at threads={}", threads
-            );
+            let engine = EngineConfig::base().threads(threads);
+            let searcher = BoundedSearcher::with_engine_config(&schema, &initial, false, engine);
+            let core: Vec<_> = searcher.run_batch(&batch).iter().map(core_digest).collect();
+            prop_assert_eq!(&core, &reference, "threads={}", threads);
         }
     }
 
     /// The emptiness front-end is likewise pool-schedule independent.
     #[test]
-    fn emptiness_is_thread_and_steal_batch_independent(
+    fn emptiness_is_thread_independent(
         initial in random_initial(),
         satisfiable in any::<bool>(),
     ) {
@@ -95,22 +78,12 @@ proptest! {
         .map(core_digest)
         .collect();
         for threads in [2usize, 8] {
-            let mut per_steal_batch: Vec<Vec<_>> = Vec::new();
-            for steal_batch in [1usize, 3] {
-                let engine = EngineConfig::base().threads(threads).steal_batch(steal_batch);
-                let reports =
-                    bounded_emptiness_batch_with_config(&refs, &schema, &initial, engine);
-                let core: Vec<_> = reports.iter().map(core_digest).collect();
-                prop_assert_eq!(
-                    &core, &reference,
-                    "threads={} steal_batch={}", threads, steal_batch
-                );
-                per_steal_batch.push(reports.iter().map(digest).collect());
-            }
-            prop_assert_eq!(
-                &per_steal_batch[0], &per_steal_batch[1],
-                "steal_batch must not change any report at threads={}", threads
-            );
+            let engine = EngineConfig::base().threads(threads);
+            let core: Vec<_> = bounded_emptiness_batch_with_config(&refs, &schema, &initial, engine)
+                .iter()
+                .map(core_digest)
+                .collect();
+            prop_assert_eq!(&core, &reference, "threads={}", threads);
         }
     }
 }
@@ -135,7 +108,7 @@ fn oversubscribed_threads_are_deterministic() {
     .collect();
     // 32 workers over frontier layers that hold a handful of nodes — far
     // more threads than tasks, and more than the CI machines have cores.
-    let engine = EngineConfig::base().threads(32).steal_batch(2);
+    let engine = EngineConfig::base().threads(32);
     let reports =
         BoundedSearcher::with_engine_config(&schema, &initial, false, engine).run_batch(&batch);
     let got: Vec<_> = reports.iter().map(core_digest).collect();

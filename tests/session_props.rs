@@ -4,8 +4,7 @@
 //! reports must be *byte-identical* — the same verdicts, the same witnesses,
 //! the same explored-state counts and guard-consult totals — to a
 //! from-scratch re-run over the grown instance, on 1, 4 and 8 worker
-//! threads, with `EngineConfig::disable_session_reuse` and with the
-//! `ACCLTL_DISABLE_SESSION_REUSE=1` environment flag.  The session's whole
+//! threads, and with `EngineConfig::disable_session_reuse`.  The session's whole
 //! point is reusing caches across steps; these tests prove the reuse is
 //! invisible in every contractual counter.
 
@@ -14,10 +13,9 @@ mod common;
 use proptest::prelude::*;
 
 use accltl_core::logic::bounded::{BoundedSearcher, MonitorSession};
-use accltl_core::paths::DISABLE_SESSION_REUSE_ENV_VAR;
 use accltl_core::prelude::*;
 
-use common::{digest, flag_lock, random_formula, random_initial};
+use common::{digest, random_formula, random_initial};
 
 /// Strategy: one well-formed access/response step over the phone-directory
 /// schema.  Names, streets and response subsets are drawn from small pools
@@ -105,7 +103,6 @@ proptest! {
         zero_ary in any::<bool>(),
         threads in prop_oneof![Just(1usize), Just(4), Just(8)],
     ) {
-        let _guard = flag_lock();
         let schema = phone_directory_access_schema();
         let engine = EngineConfig::base().threads(threads);
         let searcher =
@@ -128,7 +125,6 @@ proptest! {
         initial in random_initial(),
         zero_ary in any::<bool>(),
     ) {
-        let _guard = flag_lock();
         let schema = phone_directory_access_schema();
         let reusing = EngineConfig::base().threads(1);
         let disabled = reusing.disable_session_reuse(true);
@@ -162,7 +158,6 @@ proptest! {
         stream in random_stream(),
         initial in random_initial(),
     ) {
-        let _guard = flag_lock();
         let schema = phone_directory_access_schema();
         let mut properties = properties;
         // Exercise every engine group alongside the random formulas: an
@@ -199,13 +194,11 @@ proptest! {
     }
 }
 
-/// The `ACCLTL_DISABLE_SESSION_REUSE=1` environment flag end-to-end: a
-/// session opened under the flag (the config is resolved once, at
-/// `open_session`) steps byte-identically to a reusing session on a fixed
-/// stream that mixes fresh reveals with zero-delta repeats.
+/// A session opened with `disable_session_reuse(true)` steps
+/// byte-identically to a reusing session on a fixed stream that mixes fresh
+/// reveals with zero-delta repeats, and never replays.
 #[test]
-fn env_flag_disables_reuse_with_identical_reports() {
-    let _guard = flag_lock();
+fn fixed_stream_without_reuse_has_identical_reports() {
     let schema = phone_directory_access_schema();
     let initial = Instance::new();
     let properties = vec![
@@ -235,16 +228,13 @@ fn env_flag_disables_reuse_with_identical_reports() {
         ),
     ];
 
-    let config = BoundedSearchConfig {
-        threads: 1,
-        ..BoundedSearchConfig::default()
+    let engine = EngineConfig::from_env().threads(1);
+    let open = |engine| {
+        BoundedSearcher::with_engine_config(&schema, &initial, false, engine)
+            .open_session(&properties)
     };
-    let searcher = BoundedSearcher::new(&schema, &initial, false, config);
-    let mut reusing = searcher.open_session(&properties);
-
-    std::env::set_var(DISABLE_SESSION_REUSE_ENV_VAR, "1");
-    let mut disabled = searcher.open_session(&properties);
-    std::env::remove_var(DISABLE_SESSION_REUSE_ENV_VAR);
+    let mut reusing = open(engine);
+    let mut disabled = open(engine.disable_session_reuse(true));
 
     assert_eq!(session_digests(&reusing), session_digests(&disabled));
     for (access, response) in &stream {
@@ -259,7 +249,7 @@ fn env_flag_disables_reuse_with_identical_reports() {
         assert_eq!(
             session_digests(&reusing),
             session_digests(&disabled),
-            "env-disabled session diverged at step {}",
+            "reuse-disabled session diverged at step {}",
             disabled.steps()
         );
         // The disabled session never replays (it may still report within-run
@@ -276,7 +266,6 @@ fn env_flag_disables_reuse_with_identical_reports() {
 /// instance are unchanged.
 #[test]
 fn invalid_steps_leave_the_session_intact() {
-    let _guard = flag_lock();
     let schema = phone_directory_access_schema();
     let analyzer = AccessAnalyzer::new(schema);
     let properties = vec![AccLtl::finally(common::jones_post())];
