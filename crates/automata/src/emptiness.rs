@@ -390,6 +390,8 @@ impl StepOracle for AutomatonOracle<'_> {
     /// shares it across states and across batched automata.
     type CandidateCtx = InstanceOverlay;
 
+    /// A pure function of the revealed configuration given the batch-shared
+    /// vocabulary and root cache, as the engine's context sharing requires.
     fn prepare(&self, before: &InstanceOverlay) -> AutomatonCtx {
         let mut base = self.vocab.state_structure(before);
         base.set_index_cutoff(self.index_cutoff);
@@ -451,13 +453,6 @@ impl StepOracle for AutomatonOracle<'_> {
 
     fn cache_stats(&self) -> Option<GuardCacheStats> {
         Some(self.cache.stats())
-    }
-
-    /// `prepare` is a pure function of the revealed configuration given the
-    /// batch-shared vocabulary and root-pinned cache, so contexts may be
-    /// shared across properties that reach the same configuration.
-    fn shares_ctx(&self) -> bool {
-        true
     }
 }
 

@@ -9,9 +9,10 @@
 //! reveal fresh facts re-search with the persistent guard-verdict and
 //! prepared-context caches warm (the stream perturbs only `Mobile#`, so the
 //! content-addressed, relation-restricted cache keys keep hitting).  A
-//! from-scratch re-check (`EngineConfig::disable_session_reuse`) re-pays the
-//! full search on every step.  Verdicts, witnesses, explored counts and
-//! guard-consult totals are byte-identical by contract
+//! from-scratch re-check (a fresh `BoundedSearcher::run_batch` over the
+//! grown instance) re-pays the full search on every step.  Verdicts,
+//! witnesses, explored counts and guard-consult totals are byte-identical
+//! by contract
 //! (`tests/session_props.rs`); this bench records the wall-clock side and
 //! reconciles the session's reuse counters against the `accltl-obs` registry
 //! delta.  Before/after medians are recorded in `CHANGES.md`.
@@ -124,45 +125,67 @@ fn property(schema: &AccessSchema, k: usize) -> AccLtl {
     AccLtl::and(vec![street_to_postcode, postcode_to_street, eventuality])
 }
 
-fn engine_config(reuse: bool) -> EngineConfig {
-    EngineConfig::base().disable_session_reuse(!reuse)
+/// The contractual digest of one (step, property) report.
+type Digest = (SatOutcome, usize, usize, u64);
+
+fn push_digests(reports: &[SearchReport<SatOutcome>], digests: &mut Vec<Digest>) {
+    for report in reports {
+        digests.push((
+            report.verdict.clone(),
+            report.explored,
+            report.cost,
+            report.cache.total(),
+        ));
+    }
 }
 
 /// Runs the whole stream through one session and returns the per-step
 /// reports plus the contractual digest of every (step, property) report.
-#[allow(clippy::type_complexity)]
-fn run_stream(
+fn run_session(
     schema: &AccessSchema,
     initial: &Instance,
     batch: &[AccLtl],
-    reuse: bool,
-) -> (Vec<SessionReport>, Vec<(SatOutcome, usize, usize, u64)>) {
+) -> (Vec<SessionReport>, Vec<Digest>) {
     let searcher =
-        BoundedSearcher::with_engine_config(schema, initial, false, engine_config(reuse));
+        BoundedSearcher::with_engine_config(schema, initial, false, EngineConfig::base());
     let mut session = searcher.open_session(batch);
     let mut reports = vec![session.last_report().clone()];
     let mut digests = Vec::new();
-    let digest_step = |reports: &[SearchReport<SatOutcome>],
-                       digests: &mut Vec<(SatOutcome, usize, usize, u64)>| {
-        for report in reports {
-            digests.push((
-                report.verdict.clone(),
-                report.explored,
-                report.cost,
-                report.cache.total(),
-            ));
-        }
-    };
-    digest_step(session.reports(), &mut digests);
+    push_digests(session.reports(), &mut digests);
     for (access, response) in stream() {
         let report = session
             .step(&access, &response)
             .expect("well-formed access")
             .clone();
         reports.push(report);
-        digest_step(session.reports(), &mut digests);
+        push_digests(session.reports(), &mut digests);
     }
     (reports, digests)
+}
+
+/// The from-scratch re-check: a fresh `BoundedSearcher::run_batch` over the
+/// grown instance before the stream and after every step, returning the
+/// same digests as [`run_session`].
+fn run_scratch(schema: &AccessSchema, initial: &Instance, batch: &[AccLtl]) -> Vec<Digest> {
+    let mut current = initial.clone();
+    let mut digests = Vec::new();
+    let check = |current: &Instance, digests: &mut Vec<Digest>| {
+        let searcher =
+            BoundedSearcher::with_engine_config(schema, current, false, EngineConfig::base());
+        push_digests(&searcher.run_batch(batch), digests);
+    };
+    check(&current, &mut digests);
+    for (access, response) in stream() {
+        let relation = schema
+            .require_method(access.method)
+            .expect("well-formed access")
+            .relation_id();
+        for tuple in response {
+            current.add_fact(relation, tuple);
+        }
+        check(&current, &mut digests);
+    }
+    digests
 }
 
 /// One-shot correctness + accounting pass printed before the timed groups:
@@ -176,7 +199,7 @@ fn print_reconciliation() {
 
     let before = metrics::snapshot();
     let start = Instant::now();
-    let (reports, session_digests) = run_stream(&schema, &initial, &batch, true);
+    let (reports, session_digests) = run_session(&schema, &initial, &batch);
     let session_time = start.elapsed();
     let delta = metrics::snapshot().delta(&before);
 
@@ -195,7 +218,7 @@ fn print_reconciliation() {
     assert_eq!(delta.counter("session.steps"), (STEPS + 1) as u64);
 
     let start = Instant::now();
-    let (_, scratch_digests) = run_stream(&schema, &initial, &batch, false);
+    let scratch_digests = run_scratch(&schema, &initial, &batch);
     let scratch_time = start.elapsed();
     assert_eq!(
         session_digests, scratch_digests,
@@ -220,10 +243,10 @@ fn bench_monitor(c: &mut Criterion) {
         let initial = scaled_initial(scale);
         let batch: Vec<AccLtl> = (0..PROPERTIES).map(|k| property(&schema, k)).collect();
         group.bench_with_input(BenchmarkId::new("session", scale), &scale, |b, _| {
-            b.iter(|| run_stream(&schema, &initial, &batch, true).0.len());
+            b.iter(|| run_session(&schema, &initial, &batch).0.len());
         });
         group.bench_with_input(BenchmarkId::new("scratch", scale), &scale, |b, _| {
-            b.iter(|| run_stream(&schema, &initial, &batch, false).0.len());
+            b.iter(|| run_scratch(&schema, &initial, &batch).len());
         });
     }
     group.finish();

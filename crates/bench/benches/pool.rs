@@ -1,4 +1,4 @@
-//! Frontier-pool benchmark: persistent work-stealing workers
+//! Frontier-pool benchmark: persistent claim-cursor workers
 //! (`paths::pool`) against a fresh `thread::scope` per round — the regime
 //! the pool exists for is *small-layer-heavy* search, where per-round spawn
 //! and join overhead used to dominate — plus the end-to-end layered search

@@ -37,6 +37,39 @@ pub enum Engine {
     BoundedSearch,
 }
 
+impl Engine {
+    /// The engine a fragment dispatches to: the `X` fragment and the 0-ary
+    /// fragments use the Theorem 4.12/4.14 procedures, `AccLTL+` uses the
+    /// Lemma 4.5 translation plus A-automaton emptiness, and anything else
+    /// falls back to the (sound, incomplete) bounded search.
+    fn for_fragment(fragment: Fragment) -> Engine {
+        match fragment {
+            Fragment::XZeroAry => Engine::XFragment,
+            Fragment::ZeroAry | Fragment::ZeroAryWithInequalities => Engine::ZeroFragment,
+            Fragment::BindingPositive => Engine::AutomatonPipeline,
+            Fragment::Full | Fragment::FullWithInequalities => Engine::BoundedSearch,
+        }
+    }
+
+    /// True for the engines that run the bounded search under the 0-ary
+    /// interpretation of `IsBind` (the decidable zero fragments, as in
+    /// `solver::sat_x_fragment` / `solver::sat_zero_fragment`).
+    fn zero_ary(self) -> bool {
+        matches!(self, Engine::XFragment | Engine::ZeroFragment)
+    }
+}
+
+/// A bounded-search verdict as the analyzer reports it: under full bindings
+/// (outside the decidable zero fragments) `Unsatisfiable` only means that no
+/// witness exists within the bounds, so it is downgraded to `Unknown`, as in
+/// `solver::sat_full_bounded`.
+fn bounded_outcome(zero_ary: bool, verdict: SatOutcome) -> SatOutcome {
+    match verdict {
+        SatOutcome::Unsatisfiable if !zero_ary => SatOutcome::Unknown { explored: 0 },
+        other => other,
+    }
+}
+
 /// The outcome of an analyzer question, together with the engine that
 /// produced it and the run accounting ([`RunReport`]) behind it.
 ///
@@ -238,75 +271,13 @@ impl AccessAnalyzer {
     }
 
     /// Checks satisfiability of an `AccLTL` formula over the schema's access
-    /// paths, dispatching on the formula's fragment: the `X` fragment and the
-    /// 0-ary fragment use the Theorem 4.12/4.14 procedures, `AccLTL+` uses
-    /// the Lemma 4.5 translation plus A-automaton emptiness, and anything
-    /// else falls back to the (sound, incomplete) bounded search.
+    /// paths, dispatching on the formula's fragment ([`Engine`]): a
+    /// one-property [`AccessAnalyzer::check_all`].
     #[must_use]
     pub fn check_satisfiable(&self, formula: &AccLtl) -> AnalyzerReport {
-        let _span = trace::span("analyzer.check_satisfiable");
-        let fragment = classify(formula);
-        match fragment {
-            // The zero fragments run under the 0-ary interpretation, as in
-            // `solver::sat_x_fragment` / `solver::sat_zero_fragment` (the
-            // fragment has already been checked by `classify`).
-            Fragment::XZeroAry | Fragment::ZeroAry | Fragment::ZeroAryWithInequalities => {
-                let report =
-                    BoundedSearcher::new(&self.schema, &self.initial, true, self.search_config)
-                        .run(formula);
-                let run = RunReport::from_search(&report).with_chase(self.chase_stats);
-                let engine = if fragment == Fragment::XZeroAry {
-                    Engine::XFragment
-                } else {
-                    Engine::ZeroFragment
-                };
-                AnalyzerReport {
-                    outcome: report.verdict,
-                    fragment,
-                    engine,
-                    run,
-                }
-            }
-            Fragment::BindingPositive => {
-                let automaton = accltl_plus_to_automaton(formula);
-                let report = bounded_emptiness_report(
-                    &automaton,
-                    &self.schema,
-                    &self.initial,
-                    &self.emptiness_config,
-                );
-                let run = RunReport::from_search(&report).with_chase(self.chase_stats);
-                let outcome = match report.verdict {
-                    EmptinessOutcome::NonEmpty { witness } => SatOutcome::Satisfiable { witness },
-                    EmptinessOutcome::Empty => SatOutcome::Unsatisfiable,
-                    EmptinessOutcome::Unknown => SatOutcome::Unknown { explored: 0 },
-                };
-                AnalyzerReport {
-                    outcome,
-                    fragment,
-                    engine: Engine::AutomatonPipeline,
-                    run,
-                }
-            }
-            // Full bindings for the undecidable languages; `Unsatisfiable`
-            // is downgraded, as in `solver::sat_full_bounded`.
-            Fragment::Full | Fragment::FullWithInequalities => {
-                let report =
-                    BoundedSearcher::new(&self.schema, &self.initial, false, self.search_config)
-                        .run(formula);
-                let run = RunReport::from_search(&report).with_chase(self.chase_stats);
-                let outcome = match report.verdict {
-                    SatOutcome::Unsatisfiable => SatOutcome::Unknown { explored: 0 },
-                    other => other,
-                };
-                AnalyzerReport {
-                    outcome,
-                    fragment,
-                    engine: Engine::BoundedSearch,
-                    run,
-                }
-            }
-        }
+        self.check_all(&BatchRequest::new(vec![formula.clone()]))
+            .pop()
+            .expect("one property in, one report out")
     }
 
     /// Checks satisfiability of every property in the request, batching
@@ -316,9 +287,10 @@ impl AccessAnalyzer {
     /// [`bounded_emptiness_batch_with_config`] run (configured by
     /// [`EmptinessConfig::engine_config`] unless the request carries its own
     /// config), and full-language formulas share a
-    /// second bounded batch.  Reports come back in input order, and each is
-    /// identical to what [`AccessAnalyzer::check_satisfiable`] returns for
-    /// that property alone (the engine's determinism contract).
+    /// second bounded batch (whose `Unsatisfiable` is downgraded to
+    /// `Unknown`).  Reports come back in input order, and each is identical
+    /// to a one-property request for that property alone (the engine's
+    /// determinism contract).
     ///
     /// With [`BatchRequest::config`] set, the explicit [`EngineConfig`] is
     /// used verbatim for every property instead of the analyzer's budgets.
@@ -329,25 +301,18 @@ impl AccessAnalyzer {
             &[("properties", request.properties.len() as u64)],
         );
         let fragments: Vec<Fragment> = request.properties.iter().map(classify).collect();
+        let engines: Vec<Engine> = fragments.iter().map(|&f| Engine::for_fragment(f)).collect();
         let mut reports: Vec<Option<AnalyzerReport>> = vec![None; request.properties.len()];
-
-        let mut zero: Vec<usize> = Vec::new();
-        let mut plus: Vec<usize> = Vec::new();
-        let mut full: Vec<usize> = Vec::new();
-        for (index, fragment) in fragments.iter().enumerate() {
-            match fragment {
-                Fragment::XZeroAry | Fragment::ZeroAry | Fragment::ZeroAryWithInequalities => {
-                    zero.push(index);
-                }
-                Fragment::BindingPositive => plus.push(index),
-                Fragment::Full | Fragment::FullWithInequalities => full.push(index),
-            }
-        }
+        let group = |pick: fn(Engine) -> bool| -> Vec<usize> {
+            (0..engines.len()).filter(|&i| pick(engines[i])).collect()
+        };
+        let zero = group(Engine::zero_ary);
+        let full = group(|engine| engine == Engine::BoundedSearch);
+        let plus = group(|engine| engine == Engine::AutomatonPipeline);
 
         // The two bounded-search groups: 0-ary interpretation for the
         // decidable zero fragments, full bindings for the undecidable
-        // languages (whose `Unsatisfiable` is downgraded, as in
-        // `solver::sat_full_bounded`).
+        // languages.
         for (indices, zero_ary) in [(&zero, true), (&full, false)] {
             if indices.is_empty() {
                 continue;
@@ -368,26 +333,11 @@ impl AccessAnalyzer {
                 .map(|&index| request.properties[index].clone())
                 .collect();
             for (&index, report) in indices.iter().zip(searcher.run_batch(&formulas)) {
-                let fragment = fragments[index];
                 let run = RunReport::from_search(&report).with_chase(self.chase_stats);
-                let (outcome, engine) = if zero_ary {
-                    let engine = if fragment == Fragment::XZeroAry {
-                        Engine::XFragment
-                    } else {
-                        Engine::ZeroFragment
-                    };
-                    (report.verdict, engine)
-                } else {
-                    let outcome = match report.verdict {
-                        SatOutcome::Unsatisfiable => SatOutcome::Unknown { explored: 0 },
-                        other => other,
-                    };
-                    (outcome, Engine::BoundedSearch)
-                };
                 reports[index] = Some(AnalyzerReport {
-                    outcome,
-                    fragment,
-                    engine,
+                    outcome: bounded_outcome(zero_ary, report.verdict),
+                    fragment: fragments[index],
+                    engine: engines[index],
                     run,
                 });
             }
@@ -531,18 +481,16 @@ impl AccessAnalyzer {
     /// guard-verdict caches the previous steps already paid for (the
     /// runtime-relevance loop of *"Determining Relevance of Accesses at
     /// Runtime"*).  Verdicts are contractually byte-identical to re-running
-    /// the analysis from scratch over the grown instance;
-    /// `ACCLTL_DISABLE_SESSION_REUSE=1` makes the session do exactly that,
-    /// which the differential harness in `tests/session_props.rs` uses to
-    /// prove the contract.
+    /// the analysis from scratch over the grown instance, which the
+    /// differential harness in `tests/session_props.rs` checks step by step.
     ///
     /// Properties are partitioned as in [`AccessAnalyzer::check_all`]: the
     /// decidable zero fragments run under the 0-ary interpretation, every
     /// other fragment runs the bounded search under full bindings with
     /// `Unsatisfiable` downgraded to `Unknown` when read through
     /// [`MonitorSession::still_satisfiable`].  (For `AccLTL+` that downgrade
-    /// is conservative — [`AccessAnalyzer::check_satisfiable`] routes the
-    /// one-shot question through the automaton pipeline, which can certify
+    /// is conservative — [`AccessAnalyzer::check_all`] routes the one-shot
+    /// question through the automaton pipeline, which can certify
     /// emptiness.)
     #[must_use]
     pub fn monitor(&self, properties: &[AccLtl]) -> MonitorSession<'_> {
@@ -554,17 +502,11 @@ impl AccessAnalyzer {
         let mut zero: Vec<AccLtl> = Vec::new();
         let mut other: Vec<AccLtl> = Vec::new();
         let mut slots: Vec<(bool, usize)> = Vec::with_capacity(properties.len());
-        for (property, fragment) in properties.iter().zip(&fragments) {
-            match fragment {
-                Fragment::XZeroAry | Fragment::ZeroAry | Fragment::ZeroAryWithInequalities => {
-                    slots.push((true, zero.len()));
-                    zero.push(property.clone());
-                }
-                Fragment::BindingPositive | Fragment::Full | Fragment::FullWithInequalities => {
-                    slots.push((false, other.len()));
-                    other.push(property.clone());
-                }
-            }
+        for (property, &fragment) in properties.iter().zip(&fragments) {
+            let zero_ary = Engine::for_fragment(fragment).zero_ary();
+            let group = if zero_ary { &mut zero } else { &mut other };
+            slots.push((zero_ary, group.len()));
+            group.push(property.clone());
         }
         let open = |formulas: &[AccLtl], zero_ary: bool| {
             (!formulas.is_empty()).then(|| {
@@ -676,22 +618,15 @@ impl<'a> MonitorSession<'a> {
     }
 
     /// The latest verdict for the property at `index` (input order), with
-    /// the same downgrade as [`AccessAnalyzer::check_satisfiable`]'s bounded
+    /// the same downgrade as [`AccessAnalyzer::check_all`]'s bounded
     /// fallback: outside the decidable zero fragments, `Unsatisfiable` from
     /// the bounded search is conservatively reported as `Unknown`.
     #[must_use]
     pub fn still_satisfiable(&self, index: usize) -> SatOutcome {
         let (zero_ary, slot) = self.slots[index];
-        if zero_ary {
-            let session = self.zero.as_ref().expect("zero group is non-empty");
-            session.verdict(slot).clone()
-        } else {
-            let session = self.other.as_ref().expect("full group is non-empty");
-            match session.verdict(slot) {
-                SatOutcome::Unsatisfiable => SatOutcome::Unknown { explored: 0 },
-                verdict => verdict.clone(),
-            }
-        }
+        let session = if zero_ary { &self.zero } else { &self.other };
+        let session = session.as_ref().expect("a property's group is non-empty");
+        bounded_outcome(zero_ary, session.verdict(slot).clone())
     }
 
     /// Latest verdicts for every monitored property, in input order.

@@ -472,6 +472,9 @@ impl StepOracle for FormulaOracle {
     /// it across obligations and across batched formulas.
     type CandidateCtx = InstanceOverlay;
 
+    /// A pure function of the before-configuration (the vocabulary and the
+    /// cache's size gate are shared batch-wide), so the engine shares the
+    /// prepared base across obligations and across batched formulas.
     fn prepare(&self, before: &InstanceOverlay) -> FormulaCtx {
         let mut base = self.vocab.state_structure(before);
         base.set_index_cutoff(self.index_cutoff);
@@ -545,14 +548,6 @@ impl StepOracle for FormulaOracle {
 
     fn cache_stats(&self) -> Option<GuardCacheStats> {
         Some(self.cache.stats())
-    }
-
-    /// [`FormulaOracle::prepare`] is a pure function of the
-    /// before-configuration (the vocabulary and the cache's size gate are
-    /// shared batch-wide), so prepared transition-structure bases may be
-    /// shared across obligations and across batched formulas.
-    fn shares_ctx(&self) -> bool {
-        true
     }
 }
 
@@ -681,10 +676,9 @@ impl<'a> BoundedSearcher<'a> {
     /// engine state.  Verdicts, witnesses, explored counts and
     /// guard-consult totals of every step are byte-identical to a
     /// from-scratch [`BoundedSearcher::run_batch`] over the grown instance
-    /// (`ACCLTL_DISABLE_SESSION_REUSE=1` selects exactly that scratch
-    /// path); the session only changes what is *recomputed*, which each
-    /// step's [`SessionReport`] accounts for.  The engine configuration is
-    /// resolved once, here.
+    /// (`MonitorSession::current`); the session only changes what is
+    /// *recomputed*, which each step's [`SessionReport`] accounts for.  The
+    /// engine configuration is resolved once, here.
     #[must_use]
     pub fn open_session(&self, properties: &[AccLtl]) -> MonitorSession<'a> {
         let _span = accltl_obs::trace::span_fields(
@@ -693,17 +687,15 @@ impl<'a> BoundedSearcher<'a> {
         );
         let engine_config = self.engine_config();
         let root_cache = GuardCache::with_enabled(!engine_config.disable_guard_cache);
-        let state = (!engine_config.disable_session_reuse)
-            .then(|| SessionState::new(self.schema, Arc::new(self.initial.clone())));
         let mut session = MonitorSession {
             schema: self.schema,
             zero_ary: self.zero_ary,
-            search_config: self.config,
+            allow_empty_path: self.config.allow_empty_path,
             engine_config,
             properties: properties.to_vec(),
             current: self.initial.clone(),
             root_cache,
-            state,
+            state: SessionState::new(self.schema, Arc::new(self.initial.clone())),
             reports: Vec::new(),
             steps: 0,
             last: SessionReport::default(),
@@ -833,7 +825,7 @@ pub struct SessionReport {
     /// True when the step's access revealed no fact the session had not
     /// already seen, so the previous verdicts were replayed without running
     /// the engine (determinism makes the replay byte-identical to a
-    /// re-run).  Always false under `ACCLTL_DISABLE_SESSION_REUSE=1`.
+    /// re-run).
     pub replayed: bool,
     /// Engine-cache lookups answered from cache during this step's run —
     /// in session mode including prepared contexts and candidate
@@ -860,21 +852,19 @@ pub struct SessionReport {
 /// persistent engine state, and re-derives every property's verdict after
 /// each access/response step.
 ///
-/// In session mode (the default) each step runs on one persistent
-/// [`SessionState`]: the step's response facts are assumed revealed at the
-/// root, so configurations keep their content across steps and the
-/// engine's content-addressed caches — and the root guard cache's
-/// restricted `StructureKey`s — only miss where the perturbation actually
-/// changed something.  Under `ACCLTL_DISABLE_SESSION_REUSE=1` every step
-/// constructs a fresh [`BoundedSearcher`] over the grown instance instead;
-/// both modes produce byte-identical verdicts, witnesses, explored counts
-/// and guard-consult totals.
+/// Each step runs on one persistent [`SessionState`]: the step's response
+/// facts are assumed revealed at the root, so configurations keep their
+/// content across steps and the engine's content-addressed caches — and the
+/// root guard cache's restricted `StructureKey`s — only miss where the
+/// perturbation actually changed something.  Verdicts, witnesses, explored
+/// counts and guard-consult totals are byte-identical to a fresh
+/// [`BoundedSearcher::run_batch`] over [`MonitorSession::current`].
 pub struct MonitorSession<'a> {
     schema: &'a AccessSchema,
     zero_ary: bool,
-    search_config: BoundedSearchConfig,
-    /// Resolved once at open (the single env read); every step — session
-    /// or scratch — runs under exactly this configuration.
+    allow_empty_path: bool,
+    /// Resolved once at open (the single env read); every step runs under
+    /// exactly this configuration.
     engine_config: EngineConfig,
     properties: Vec<AccLtl>,
     /// `I0` extended by every response received so far.
@@ -882,9 +872,8 @@ pub struct MonitorSession<'a> {
     /// The session-lifetime guard cache; each step's oracles hold
     /// [`GuardCache::share`] handles of it.
     root_cache: GuardCache,
-    /// The persistent engine state; `None` under
-    /// [`EngineConfig::disable_session_reuse`].
-    state: Option<SessionState<'a, FormulaOracle>>,
+    /// The persistent engine state.
+    state: SessionState<'a, FormulaOracle>,
     /// Per-property reports of the latest step, in property order.
     reports: Vec<SearchReport<SatOutcome>>,
     steps: usize,
@@ -932,10 +921,9 @@ impl<'a> MonitorSession<'a> {
     /// Extends the session by one access and its response, then re-derives
     /// every property's verdict.  The `(access, response)` pair is
     /// validated like an access-path step; the response's facts join the
-    /// current instance (and, in session mode, the persistent engine's
-    /// root).  Returns the step's accounting; per-property verdicts are
-    /// read through [`MonitorSession::reports`] /
-    /// [`MonitorSession::verdict`].
+    /// current instance and the persistent engine's root.  Returns the
+    /// step's accounting; per-property verdicts are read through
+    /// [`MonitorSession::reports`] / [`MonitorSession::verdict`].
     pub fn step(
         &mut self,
         access: &Access,
@@ -947,9 +935,7 @@ impl<'a> MonitorSession<'a> {
         let mut fresh = false;
         for tuple in response {
             if self.current.add_fact(relation, tuple.clone()) {
-                if let Some(state) = self.state.as_mut() {
-                    state.assume_revealed(relation, tuple);
-                }
+                self.state.assume_revealed(relation, tuple);
                 fresh = true;
             }
         }
@@ -958,11 +944,10 @@ impl<'a> MonitorSession<'a> {
             "session.step",
             &[("step", self.steps as u64), ("fresh", u64::from(fresh))],
         );
-        if !fresh && self.state.is_some() {
+        if !fresh {
             // The configuration space is unchanged, so by determinism a
             // re-run would reproduce the previous reports byte for byte;
-            // replay them instead of exploring.  (Scratch mode re-runs
-            // regardless — that is its contract.)
+            // replay them instead of exploring.
             self.finish_step(true, EngineCacheStats::default());
             return Ok(&self.last);
         }
@@ -974,45 +959,22 @@ impl<'a> MonitorSession<'a> {
     /// Re-derives every property's verdict over the current instance and
     /// returns the step's engine-cache delta.
     fn recheck(&mut self) -> EngineCacheStats {
-        let (reports, delta) = match self.state.as_mut() {
-            Some(state) => {
-                let mut delta = EngineCacheStats::default();
-                let reports = run_formula_batch(
-                    self.schema,
-                    &self.current,
-                    self.zero_ary,
-                    self.search_config.allow_empty_path,
-                    self.engine_config,
-                    &self.root_cache,
-                    &self.properties,
-                    |specs| {
-                        let (reports, step_delta) = state.run_step(specs);
-                        delta = step_delta;
-                        reports
-                    },
-                );
-                (reports, delta)
-            }
-            None => {
-                // Scratch mode: exactly what a caller without a session
-                // would run — a fresh searcher (fresh root guard cache,
-                // fresh engine) over the grown instance.
-                let searcher = BoundedSearcher {
-                    schema: self.schema,
-                    initial: self.current.clone(),
-                    zero_ary: self.zero_ary,
-                    config: self.search_config,
-                    engine_override: Some(self.engine_config),
-                };
-                let reports = searcher.run_batch(&self.properties);
-                let delta = reports
-                    .first()
-                    .map(|report| report.engine_cache)
-                    .unwrap_or_default();
-                (reports, delta)
-            }
-        };
-        self.reports = reports;
+        let state = &mut self.state;
+        let mut delta = EngineCacheStats::default();
+        self.reports = run_formula_batch(
+            self.schema,
+            &self.current,
+            self.zero_ary,
+            self.allow_empty_path,
+            self.engine_config,
+            &self.root_cache,
+            &self.properties,
+            |specs| {
+                let (reports, step_delta) = state.run_step(specs);
+                delta = step_delta;
+                reports
+            },
+        );
         delta
     }
 
@@ -1413,6 +1375,40 @@ mod tests {
         }
     }
 
+    /// A borrowed [`FormulaOracle`], so a test keeps the oracle — and can
+    /// inspect its obligation table — after the engine consumed the spec.
+    struct Borrowed<'o>(&'o FormulaOracle);
+
+    impl StepOracle for Borrowed<'_> {
+        type State = ObligationId;
+        type StateCtx = FormulaCtx;
+        type CandidateCtx = InstanceOverlay;
+
+        fn prepare(&self, before: &InstanceOverlay) -> FormulaCtx {
+            self.0.prepare(before)
+        }
+
+        fn prepare_candidate(
+            &self,
+            ctx: &FormulaCtx,
+            candidate: &Candidate<'_>,
+            universe: &FactUniverse,
+        ) -> InstanceOverlay {
+            self.0.prepare_candidate(ctx, candidate, universe)
+        }
+
+        fn step(
+            &self,
+            state: &ObligationId,
+            ctx: &FormulaCtx,
+            structure: &InstanceOverlay,
+            candidate: &Candidate<'_>,
+            universe: &FactUniverse,
+        ) -> StepOutcome<ObligationId> {
+            self.0.step(state, ctx, structure, candidate, universe)
+        }
+    }
+
     #[test]
     fn memoized_steps_resolve_to_the_progressed_obligation() {
         let schema = schema();
@@ -1438,7 +1434,7 @@ mod tests {
             let oracle = oracle_for(&schema, &formula, true);
             let start = oracle.intern(normalize(&formula));
             BatchEngine::new(&schema, Arc::new(initial.clone())).run(vec![PropertySpec {
-                oracle: &oracle,
+                oracle: Borrowed(&oracle),
                 start,
                 universe: FactUniverse::new(fact_universe(&formula, &initial)),
                 constants: formula_constants(&formula),

@@ -2,7 +2,7 @@
 //!
 //! The registry is always on — counters are plain relaxed atomics, and the
 //! instrumented call sites record **aggregates** (end-of-run report totals,
-//! per-round steal counts), never per-inner-loop increments, so the
+//! per-round task counts), never per-inner-loop increments, so the
 //! steady-state cost is a handful of atomic adds per search run.
 //!
 //! Naming convention: dotted lowercase paths grouped by subsystem —
@@ -132,8 +132,8 @@ pub fn add(name: &str, n: u64) {
 
 /// A counter reference resolved lazily on first use and cached forever —
 /// the hot-site recording primitive.  Declaring
-/// `static STEALS: LazyCounter = LazyCounter::new("pool.steals");` makes
-/// each `STEALS.add(n)` one `OnceLock` load plus one relaxed atomic add.
+/// `static TASKS: LazyCounter = LazyCounter::new("pool.tasks");` makes
+/// each `TASKS.add(n)` one `OnceLock` load plus one relaxed atomic add.
 pub struct LazyCounter {
     name: &'static str,
     cell: OnceLock<&'static Counter>,

@@ -19,7 +19,8 @@
 //! instance interns all properties' fact universes into a shared table,
 //! round-robins one frontier chunk per live property, and shares the
 //! expensive per-configuration work — the before-overlay and the oracle's
-//! prepared context ([`StepOracle::shares_ctx`]) — across every property
+//! prepared contexts ([`StepOracle::prepare`],
+//! [`StepOracle::prepare_candidate`]) — across every property
 //! (and every logical state of one property) that reaches the same
 //! configuration.  Each property keeps its own frontier, dedup set, budget
 //! and verdict, so it early-exits independently, and per-property results
@@ -44,9 +45,9 @@
 //!   and bounded empty-response binding enumeration (with the grounded and
 //!   0-ary variants both searches need);
 //! * **parallel layer expansion** — every global round submits the union of
-//!   all live properties' frontier chunks to one persistent work-stealing
-//!   worker set ([`crate::pool`], spawned once per [`BatchEngine::run`]
-//!   call, so small layers pay no per-layer spawn); expansion results are
+//!   all live properties' frontier chunks to one persistent worker set
+//!   ([`crate::pool`], spawned once per [`BatchEngine::run`] call, so small
+//!   layers pay no per-layer spawn); expansion results are
 //!   merged on the driving thread *in frontier order*, so verdicts, budget
 //!   cutoffs and witness paths are identical for every thread count
 //!   (single-thread determinism is part of the contract, not an accident of
@@ -109,12 +110,6 @@ pub const THREADS_ENV_VAR: &str = "ACCLTL_SEARCH_THREADS";
 /// default [`EngineConfig::index_cutoff`] (`0` is meaningful: index every
 /// relation).
 pub const INDEX_CUTOFF_ENV_VAR: &str = "ACCLTL_INDEX_CUTOFF";
-
-/// `ACCLTL_DISABLE_SESSION_REUSE=1` makes monitoring sessions re-run every
-/// step from scratch instead of reusing the persistent session state (the
-/// ablation behind the byte-identical-verdict contract of
-/// [`SessionState`]).  Read once, by [`EngineConfig::from_env`].
-pub const DISABLE_SESSION_REUSE_ENV_VAR: &str = "ACCLTL_DISABLE_SESSION_REUSE";
 
 /// The finite fact universe a search draws its responses from.
 #[derive(Debug, Clone, Default)]
@@ -236,15 +231,21 @@ pub trait StepOracle: Send + Sync {
     type CandidateCtx: Send + Sync;
 
     /// Precomputes whatever the oracle needs to evaluate candidates from a
-    /// state whose configuration is `before`.
+    /// state whose configuration is `before`.  Must be a pure function of
+    /// the before-configuration (plus state shared by every oracle in the
+    /// batch, such as one vocabulary and one root guard cache): the engine
+    /// builds the context once per distinct configuration and shares it
+    /// across logical states *and across batch properties*.  Sharing must
+    /// not change verdicts, witnesses or budget accounting — only cache
+    /// hit/miss splits may move.
     fn prepare(&self, before: &InstanceOverlay) -> Self::StateCtx;
 
     /// Precomputes whatever the oracle derives from the (configuration,
-    /// candidate) pair alone, independent of the logical state.  Under
-    /// [`StepOracle::shares_ctx`] this must be a pure function of its
-    /// arguments' content, so the engine builds each configuration's
-    /// candidate contexts once and shares them across logical states and
-    /// across batch properties.
+    /// candidate) pair alone, independent of the logical state.  Like
+    /// [`StepOracle::prepare`], this must be a pure function of its
+    /// arguments' content: the engine builds each configuration's candidate
+    /// contexts once and shares them across logical states and across batch
+    /// properties.
     fn prepare_candidate(
         &self,
         ctx: &Self::StateCtx,
@@ -267,59 +268,6 @@ pub trait StepOracle: Send + Sync {
     /// [`EngineReport::cache`] for benchmarks and regression tests.
     fn cache_stats(&self) -> Option<GuardCacheStats> {
         None
-    }
-
-    /// True asserts that [`StepOracle::prepare`] is a pure function of the
-    /// before-configuration (plus state shared by every oracle in the
-    /// batch, such as one vocabulary and one root guard cache), so the
-    /// engine may build the context once per distinct configuration and
-    /// share it across logical states *and across batch properties*.  The
-    /// default is `false` (always prepare per expansion).
-    ///
-    /// Sharing must not change verdicts, witnesses or budget accounting —
-    /// only cache hit/miss splits may move.
-    fn shares_ctx(&self) -> bool {
-        false
-    }
-}
-
-/// Borrowed oracles are oracles, so a caller can keep ownership while a
-/// batch runs (and inspect the oracle's tables afterwards).
-impl<O: StepOracle + ?Sized> StepOracle for &O {
-    type State = O::State;
-    type StateCtx = O::StateCtx;
-    type CandidateCtx = O::CandidateCtx;
-
-    fn prepare(&self, before: &InstanceOverlay) -> Self::StateCtx {
-        (**self).prepare(before)
-    }
-
-    fn prepare_candidate(
-        &self,
-        ctx: &Self::StateCtx,
-        candidate: &Candidate<'_>,
-        universe: &FactUniverse,
-    ) -> Self::CandidateCtx {
-        (**self).prepare_candidate(ctx, candidate, universe)
-    }
-
-    fn step(
-        &self,
-        state: &Self::State,
-        ctx: &Self::StateCtx,
-        prepared: &Self::CandidateCtx,
-        candidate: &Candidate<'_>,
-        universe: &FactUniverse,
-    ) -> StepOutcome<Self::State> {
-        (**self).step(state, ctx, prepared, candidate, universe)
-    }
-
-    fn cache_stats(&self) -> Option<GuardCacheStats> {
-        (**self).cache_stats()
-    }
-
-    fn shares_ctx(&self) -> bool {
-        (**self).shares_ctx()
     }
 }
 
@@ -393,11 +341,6 @@ pub struct EngineConfig {
     /// state's base via `Instance::set_index_cutoff`).  A performance knob:
     /// never affects verdicts.
     pub index_cutoff: usize,
-    /// Re-run every monitoring-session step from scratch instead of reusing
-    /// the persistent [`SessionState`] (the `ACCLTL_DISABLE_SESSION_REUSE=1`
-    /// ablation).  Verdicts, witnesses, explored counts and consult totals
-    /// are byte-identical either way; only wall-clock moves.
-    pub disable_session_reuse: bool,
 }
 
 impl EngineConfig {
@@ -416,15 +359,13 @@ impl EngineConfig {
             disable_indexes: false,
             disable_guard_cache: false,
             index_cutoff: INDEX_CUTOFF,
-            disable_session_reuse: false,
         }
     }
 
     /// [`EngineConfig::base`] with the `ACCLTL_*` environment variables
     /// folded in as defaults: [`THREADS_ENV_VAR`] seeds `threads`,
     /// [`INDEX_CUTOFF_ENV_VAR`] seeds `index_cutoff`, and
-    /// `ACCLTL_DISABLE_INDEXES=1` / `ACCLTL_DISABLE_GUARD_CACHE=1` /
-    /// `ACCLTL_DISABLE_SESSION_REUSE=1` set the
+    /// `ACCLTL_DISABLE_INDEXES=1` / `ACCLTL_DISABLE_GUARD_CACHE=1` set the
     /// corresponding ablation flags.  This is the single place the
     /// workspace reads those variables; every search front-end starts from
     /// it.  (The observability knobs `ACCLTL_TRACE` / `ACCLTL_STATS` follow
@@ -445,7 +386,6 @@ impl EngineConfig {
         }
         config.disable_indexes = env_flag(DISABLE_INDEXES_ENV_VAR);
         config.disable_guard_cache = env_flag(DISABLE_GUARD_CACHE_ENV_VAR);
-        config.disable_session_reuse = env_flag(DISABLE_SESSION_REUSE_ENV_VAR);
         config
     }
 
@@ -523,13 +463,6 @@ impl EngineConfig {
     #[must_use]
     pub fn index_cutoff(mut self, index_cutoff: usize) -> Self {
         self.index_cutoff = index_cutoff;
-        self
-    }
-
-    /// Makes monitoring sessions re-run every step from scratch.
-    #[must_use]
-    pub fn disable_session_reuse(mut self, disable_session_reuse: bool) -> Self {
-        self.disable_session_reuse = disable_session_reuse;
         self
     }
 
@@ -908,7 +841,6 @@ struct PropertyRun<O: StepOracle> {
     binding_pool: Vec<Value>,
     config: EngineConfig,
     chunk_len: usize,
-    shares_ctx: bool,
     /// Index into the engine's candidate-class registry (properties with
     /// equal classes share candidate enumerations per configuration).
     candidate_class: usize,
@@ -976,8 +908,7 @@ pub struct BatchEngine<'a, O: StepOracle> {
     /// the content-addressed caches are built to ignore.
     assumed: HashSet<u32>,
     /// Prepared oracle contexts keyed by trimmed revealed set, shared
-    /// across properties and states when the oracle opts in
-    /// ([`StepOracle::shares_ctx`]).
+    /// across properties and states ([`StepOracle::prepare`] is pure).
     ctx_cache: RwLock<HashMap<FactSet, Arc<O::StateCtx>>>,
     /// Registered candidate classes (see [`CandidateClass`]); indices are
     /// the cache key half carried by each [`PropertyRun`].
@@ -989,8 +920,7 @@ pub struct BatchEngine<'a, O: StepOracle> {
     candidate_cache: SharedByConfig<OwnedCandidate>,
     /// Prepared per-candidate oracle contexts (transition structures),
     /// indexed like the corresponding `candidate_cache` entry and shared
-    /// under the same purity contract when the oracle opts in
-    /// ([`StepOracle::shares_ctx`]).
+    /// under the same purity contract ([`StepOracle::prepare_candidate`]).
     candidate_ctx_cache: SharedByConfig<O::CandidateCtx>,
     /// Shared-cache lookup counters, summed over the three maps (see
     /// [`EngineCacheStats`]); relaxed atomics, since they are counters
@@ -1139,9 +1069,9 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
         // configurations close together in time (maximizing context- and
         // guard-cache reuse).  One persistent worker set (see
         // [`crate::pool`]) expands the union of all properties' chunks, so
-        // idle workers steal across properties; results merge per property
-        // in frontier order, so verdicts, witnesses, budget cutoffs and
-        // consult totals are independent of `threads`.
+        // idle workers claim tasks across properties; results merge per
+        // property in frontier order, so verdicts, witnesses, budget cutoffs
+        // and consult totals are independent of `threads`.
         let threads = runs
             .iter()
             .map(|run| run.config.threads.max(1))
@@ -1319,7 +1249,6 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
             }
         };
         let threads = config.threads.max(1);
-        let shares_ctx = oracle.shares_ctx();
         PropertyRun {
             oracle,
             start,
@@ -1334,7 +1263,6 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
             // frontier order, so results are independent of the thread
             // count.
             chunk_len: if threads > 1 { threads * 4 } else { 1 },
-            shares_ctx,
             candidate_class,
             nodes: Vec::new(),
             seen: HashSet::new(),
@@ -1433,95 +1361,67 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
         before
     }
 
-    /// Expands one node: obtains the oracle context for its configuration
-    /// (shared across properties/states when the oracle allows), and
-    /// evaluates every candidate transition.
+    /// Expands one node: obtains the oracle contexts for its configuration
+    /// (shared across properties and logical states), and evaluates every
+    /// candidate transition.
     fn expand(&self, run: &PropertyRun<O>, node_id: u32) -> Expansion<O::State> {
         let node = &run.nodes[node_id as usize];
-        enum Ctx<C> {
-            Shared(Arc<C>),
-            Owned(C),
-        }
         let mut before: Option<InstanceOverlay> = None;
-        let ctx = if run.shares_ctx {
-            let key = node.revealed.trimmed();
-            let cached = self
-                .ctx_cache
-                .read()
-                .expect("ctx cache poisoned")
-                .get(&key)
-                .cloned();
-            let shared = match cached {
-                Some(ctx) => {
-                    self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                    ctx
-                }
-                None => {
-                    self.cache_misses.fetch_add(1, Ordering::Relaxed);
-                    let overlay = self.overlay_of(&node.revealed);
-                    let prepared = Arc::new(run.oracle.prepare(&overlay));
-                    before = Some(overlay);
-                    // A racing worker may have prepared the same
-                    // configuration; keep the first insertion so every
-                    // later expansion shares one context.
-                    self.insert_capped(&self.ctx_cache, key, prepared)
-                }
-            };
-            Ctx::Shared(shared)
-        } else {
-            let overlay = self.overlay_of(&node.revealed);
-            let prepared = run.oracle.prepare(&overlay);
-            before = Some(overlay);
-            Ctx::Owned(prepared)
+        let key = node.revealed.trimmed();
+        let cached = self
+            .ctx_cache
+            .read()
+            .expect("ctx cache poisoned")
+            .get(&key)
+            .cloned();
+        let ctx = match cached {
+            Some(ctx) => {
+                self.cache_hits.fetch_add(1, Ordering::Relaxed);
+                ctx
+            }
+            None => {
+                self.cache_misses.fetch_add(1, Ordering::Relaxed);
+                let overlay = self.overlay_of(&node.revealed);
+                let prepared = Arc::new(run.oracle.prepare(&overlay));
+                before = Some(overlay);
+                // A racing worker may have prepared the same configuration;
+                // keep the first insertion so every later expansion shares
+                // one context.
+                self.insert_capped(&self.ctx_cache, key, prepared)
+            }
         };
         let known = run.config.grounded.then(|| {
             before
                 .get_or_insert_with(|| self.overlay_of(&node.revealed))
                 .active_domain()
         });
-        let ctx_ref: &O::StateCtx = match &ctx {
-            Ctx::Shared(arc) => arc,
-            Ctx::Owned(owned) => owned,
-        };
         let candidates = self.shared_candidates(run, &node.revealed, known.as_ref());
-        let prepared = run
-            .shares_ctx
-            .then(|| self.shared_candidate_ctxs(run, ctx_ref, &candidates, &node.revealed));
+        let prepared = self.shared_candidate_ctxs(run, &ctx, &candidates, &node.revealed);
         let mut local_added: Vec<u32> = Vec::new();
-        let mut outcomes = Vec::with_capacity(candidates.len());
-        for (index, candidate) in candidates.iter().enumerate() {
-            local_added.clear();
-            local_added.extend(candidate.added.iter().map(|id| run.local_of[id]));
-            let borrowed = Candidate {
-                method: self.methods[candidate.method],
-                binding: &candidate.binding,
-                added: &local_added,
-            };
-            let outcome = match &prepared {
-                Some(ctxs) => {
-                    run.oracle
-                        .step(&node.state, ctx_ref, &ctxs[index], &borrowed, &run.universe)
-                }
-                None => {
-                    let ctx = run
-                        .oracle
-                        .prepare_candidate(ctx_ref, &borrowed, &run.universe);
-                    run.oracle
-                        .step(&node.state, ctx_ref, &ctx, &borrowed, &run.universe)
-                }
-            };
-            outcomes.push(outcome);
-        }
+        let outcomes = candidates
+            .iter()
+            .zip(prepared.iter())
+            .map(|(candidate, prepared)| {
+                local_added.clear();
+                local_added.extend(candidate.added.iter().map(|id| run.local_of[id]));
+                let borrowed = Candidate {
+                    method: self.methods[candidate.method],
+                    binding: &candidate.binding,
+                    added: &local_added,
+                };
+                run.oracle
+                    .step(&node.state, &ctx, prepared, &borrowed, &run.universe)
+            })
+            .collect();
         (candidates, outcomes)
     }
 
     /// The prepared per-candidate contexts of a configuration, indexed like
     /// its [`BatchEngine::shared_candidates`] list; computed once per
     /// (candidate class, configuration) and shared across properties and
-    /// logical states.  Only called for oracles asserting
-    /// [`StepOracle::shares_ctx`], whose candidate preparation is a pure
-    /// function of the candidate's content; first insertion wins under a
-    /// race, so every expansion sees one context vector.
+    /// logical states ([`StepOracle::prepare_candidate`] is a pure function
+    /// of the candidate's content); first insertion wins under a race, so
+    /// every expansion sees one context vector.
     fn shared_candidate_ctxs(
         &self,
         run: &PropertyRun<O>,
@@ -1781,9 +1681,9 @@ impl<'a, O: StepOracle> BatchEngine<'a, O> {
 /// after a perturbation.  Only entries whose key content actually mentions
 /// the perturbed facts miss; everything else is reused.  Frontier bitsets
 /// and the node arena are rebuilt per step *by contract*: explored counts
-/// are part of the byte-identical-verdict guarantee
-/// ([`EngineConfig::disable_session_reuse`]), so a step must visit exactly
-/// the states a from-scratch run would.
+/// are part of the guarantee that a step is byte-identical to a fresh
+/// [`BatchEngine::run`] over the grown instance, so a step must visit
+/// exactly the states a from-scratch run would.
 pub struct SessionState<'a, O: StepOracle> {
     engine: BatchEngine<'a, O>,
     /// Engine-cache snapshot as of the previous step, so each step reports
@@ -2279,6 +2179,5 @@ mod tests {
         assert_eq!(config.max_response_group, MAX_RESPONSE_GROUP);
         assert_eq!(config.max_guard_checks, usize::MAX);
         assert_eq!(config.index_cutoff, INDEX_CUTOFF);
-        assert!(!config.disable_session_reuse);
     }
 }

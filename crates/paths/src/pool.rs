@@ -1,35 +1,39 @@
-//! A work-stealing worker pool for frontier expansion, with a deterministic
-//! result-merge contract.
+//! A worker pool for frontier expansion, with a deterministic result-merge
+//! contract.
 //!
 //! The frontier engine used to open a fresh `std::thread::scope` for every
 //! BFS layer chunk it expanded.  Real workloads are full of *small* layers —
 //! a handful of nodes per property per round — so thread spawn/join overhead
 //! dominated exactly the regime batching was meant to speed up.  [`scoped`]
 //! instead spawns one set of workers per engine run: the workers persist
-//! across every layer of every property the engine drives (idle workers
-//! steal tasks across properties, since a round's task list interleaves all
-//! of them) and park on a condvar between rounds.
+//! across every layer of every property the engine drives (a round's task
+//! list interleaves all of them) and park on a condvar between rounds.
 //!
 //! # Determinism contract
 //!
 //! [`Pool::run`] takes an ordered task list and returns one result per task
-//! **in task order**, no matter how many workers ran them or who stole what:
-//! every task writes its result into its own index-addressed slot, and the
-//! caller reassembles the slots positionally.  Scheduling therefore affects
-//! wall-clock only; the engine's merge loop sees expansions in frontier
-//! order and replays verdicts, witnesses, budget cutoffs and consult totals
-//! byte-identically for every `threads` setting.  (The
+//! **in task order**, no matter how many workers ran them or who claimed
+//! which: every task writes its result into its own index-addressed slot,
+//! and the caller reassembles the slots positionally.  Scheduling therefore
+//! affects wall-clock only; the engine's merge loop sees expansions in
+//! frontier order and replays verdicts, witnesses, budget cutoffs and
+//! consult totals byte-identically for every `threads` setting.  (The
 //! `hit`/`miss` *split* of shared caches can still vary with physical
 //! interleaving — totals and verdicts cannot.)
 //!
 //! # Scheduling
 //!
-//! Tasks are dealt round-robin to per-worker deques, one task per range.
-//! A worker pops from the *front* of its own deque (cache-friendly,
-//! in deal order) and, when empty, steals from the *back* of a neighbour's —
-//! the classic split that keeps owners and thieves off the same end.  The
-//! caller participates as worker 0, so `threads = 1` (or a single task)
-//! degrades to inline execution with no synchronization at all.
+//! A round publishes its task list with one shared atomic cursor.  Every
+//! worker — the caller participates as worker 0 — claims the next unclaimed
+//! task index with a `fetch_add` until the cursor runs past the end, so each
+//! task runs exactly once and idle workers never wait on a busy one.  No
+//! worker ever holds one lock while taking another, so there is no lock
+//! order to get wrong.  `threads = 1` (or a round of at most one task) runs
+//! inline on the caller with no synchronization at all.
+//!
+//! On two cores more threads buy little or nothing (the README gives the
+//! `pool` bench numbers), so `threads = 1` stays the default; the pool's
+//! job is to keep the multi-threaded path correct.
 //!
 //! # Why scoped rather than a free-standing pool
 //!
@@ -45,8 +49,6 @@
 //! per-layer `thread::scope`.
 
 use std::any::Any;
-use std::collections::VecDeque;
-use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -55,14 +57,10 @@ use std::thread;
 use accltl_obs::metrics::LazyCounter;
 use accltl_obs::trace;
 
-/// Task-index ranges executed by pool workers (own-deque claims plus
-/// steals).  Aggregated once per [`Round::drain`] call, so the always-on
-/// cost is two cached-handle atomic adds per worker per round.
-static POOL_RANGES: LazyCounter = LazyCounter::new("pool.ranges");
-/// Ranges claimed from a *neighbour's* deque — the work-stealing traffic.
-static POOL_STEALS: LazyCounter = LazyCounter::new("pool.steals");
 /// Individual tasks executed by pool workers (multi-worker rounds only;
-/// inline rounds never enter a deque).
+/// inline rounds never publish a cursor).  Aggregated once per
+/// [`Round::drain`] call, so the always-on cost is one cached-handle atomic
+/// add per worker per round.
 static POOL_TASKS: LazyCounter = LazyCounter::new("pool.tasks");
 
 /// Locks a mutex, recovering the guard if a panicking thread poisoned it —
@@ -71,11 +69,13 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// One round of work: an ordered task list, the per-worker deques of
-/// task-index ranges, and one result slot per task.
+/// One round of work: an ordered task list, the shared claim cursor over
+/// it, and one result slot per task.
 struct Round<T, U> {
     tasks: Vec<T>,
-    deques: Vec<Mutex<VecDeque<Range<usize>>>>,
+    /// The next unclaimed task index; claims are `fetch_add`s, so every
+    /// index below `tasks.len()` is handed to exactly one worker.
+    cursor: AtomicUsize,
     results: Vec<Mutex<Option<U>>>,
     /// Tasks not yet completed; the last finisher notifies `done`.
     remaining: AtomicUsize,
@@ -86,63 +86,41 @@ struct Round<T, U> {
 }
 
 impl<T, U> Round<T, U> {
-    /// Runs tasks as worker `slot`: drain the own deque front-first, then
-    /// steal from the back of the neighbours', until no work is left.
+    /// Runs tasks as worker `slot`, claiming one index at a time from the
+    /// shared cursor until every task has been claimed.
     fn drain(&self, job: &impl Fn(&T) -> U, slot: usize) {
-        let workers = self.deques.len();
-        let mut ranges = 0u64;
-        let mut steals = 0u64;
-        let mut tasks = 0u64;
+        let mut claimed = 0u64;
         loop {
-            // The own-deque pop is a statement of its own, so its guard is
-            // released before any neighbour's deque is locked: holding it
-            // while stealing lets two idle workers lock each other's deques
-            // in opposite orders and deadlock.
-            let own = lock(&self.deques[slot]).pop_front();
-            let claimed = own.map(|range| (range, false)).or_else(|| {
-                (1..workers).find_map(|offset| {
-                    lock(&self.deques[(slot + offset) % workers])
-                        .pop_back()
-                        .map(|range| (range, true))
-                })
-            });
-            let Some((range, stolen)) = claimed else {
-                if ranges > 0 {
-                    POOL_RANGES.add(ranges);
-                    POOL_STEALS.add(steals);
-                    POOL_TASKS.add(tasks);
-                }
-                return;
-            };
-            ranges += 1;
-            steals += u64::from(stolen);
-            tasks += range.len() as u64;
+            // `Relaxed`: a claim publishes no data.  Workers receive the
+            // tasks through the team-state lock, and results travel through
+            // their slot mutexes plus the `AcqRel` countdown of `remaining`.
+            let index = self.cursor.fetch_add(1, Ordering::Relaxed);
+            if index >= self.tasks.len() {
+                break;
+            }
+            claimed += 1;
             let _task_span = trace::span_fields(
                 "pool.task",
-                &[
-                    ("worker", slot as u64),
-                    ("start", range.start as u64),
-                    ("len", range.len() as u64),
-                    ("stolen", u64::from(stolen)),
-                ],
+                &[("worker", slot as u64), ("start", index as u64), ("len", 1)],
             );
-            for index in range {
-                match panic::catch_unwind(AssertUnwindSafe(|| job(&self.tasks[index]))) {
-                    Ok(result) => *lock(&self.results[index]) = Some(result),
-                    Err(payload) => {
-                        let mut first = lock(&self.panic);
-                        if first.is_none() {
-                            *first = Some(payload);
-                        }
+            match panic::catch_unwind(AssertUnwindSafe(|| job(&self.tasks[index]))) {
+                Ok(result) => *lock(&self.results[index]) = Some(result),
+                Err(payload) => {
+                    let mut first = lock(&self.panic);
+                    if first.is_none() {
+                        *first = Some(payload);
                     }
                 }
-                if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    // Take the lock so the notify cannot race between the
-                    // caller's check of `remaining` and its wait.
-                    let _sync = lock(&self.done_lock);
-                    self.done.notify_all();
-                }
             }
+            if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+                // Take the lock so the notify cannot race between the
+                // caller's check of `remaining` and its wait.
+                let _sync = lock(&self.done_lock);
+                self.done.notify_all();
+            }
+        }
+        if claimed > 0 {
+            POOL_TASKS.add(claimed);
         }
     }
 }
@@ -192,16 +170,9 @@ where
             return tasks.iter().map(self.job).collect();
         };
 
-        // Deal one-task ranges round-robin onto the per-worker deques.
-        let mut deques: Vec<VecDeque<Range<usize>>> =
-            (0..self.threads).map(|_| VecDeque::new()).collect();
-        for index in 0..count {
-            deques[index % self.threads].push_back(index..index + 1);
-        }
-
         let round = Arc::new(Round {
             tasks,
-            deques: deques.into_iter().map(Mutex::new).collect(),
+            cursor: AtomicUsize::new(0),
             results: (0..count).map(|_| Mutex::new(None)).collect(),
             remaining: AtomicUsize::new(count),
             done_lock: Mutex::new(()),
@@ -367,10 +338,10 @@ mod tests {
         assert_eq!(got, vec![-1, -2, -3]);
     }
 
-    /// Regression test for a lock-order deadlock in [`Round::drain`]: a
-    /// worker that kept its own deque locked while stealing could wait on a
-    /// neighbour doing the same in the opposite order.  Many oversubscribed
-    /// pools with many small rounds make that interleaving likely; a
+    /// Regression test for a lock-order deadlock in an earlier drain, where
+    /// a worker held its own task queue's lock while taking a neighbour's
+    /// and two idle workers could wait on each other.  Many oversubscribed
+    /// pools with many small rounds make such interleavings likely; a
     /// watchdog turns a hang into a failure.
     #[test]
     fn oversubscribed_small_rounds_never_deadlock() {
@@ -393,6 +364,42 @@ mod tests {
         finished
             .recv_timeout(std::time::Duration::from_secs(60))
             .expect("pool stress run did not finish within 60 s: workers deadlocked");
+    }
+
+    /// The claim cursor hands every task to exactly one worker: over many
+    /// oversubscribed rounds, each task id is executed once — never
+    /// skipped, never run twice by two workers racing for it.  A double
+    /// claim also breaks the round's countdown, which can hang the caller,
+    /// so the rounds run under a watchdog.
+    #[test]
+    fn oversubscribed_rounds_run_every_task_exactly_once() {
+        const ROUNDS: usize = 500;
+        const TASKS: usize = 7;
+        let (done, finished) = std::sync::mpsc::channel();
+        thread::spawn(move || {
+            let runs: Vec<AtomicUsize> = (0..ROUNDS * TASKS).map(|_| AtomicUsize::new(0)).collect();
+            scoped(
+                8,
+                |&task: &usize| {
+                    runs[task].fetch_add(1, Ordering::Relaxed);
+                    task
+                },
+                |pool| {
+                    for round in 0..ROUNDS {
+                        let tasks: Vec<usize> = (round * TASKS..(round + 1) * TASKS).collect();
+                        assert_eq!(pool.run(tasks.clone()), tasks);
+                    }
+                },
+            );
+            let counts: Vec<usize> = runs.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+            done.send(counts).expect("watchdog is listening");
+        });
+        let counts = finished
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("pool rounds did not finish within 60 s");
+        for (task, count) in counts.iter().enumerate() {
+            assert_eq!(*count, 1, "task {task}");
+        }
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //! concrete accesses, and prints the per-step verdicts and the long-term
 //! relevance of the next candidate access.
 //!
-//! The session reuses the engine and guard-verdict caches across steps;
-//! setting `ACCLTL_DISABLE_SESSION_REUSE=1` re-runs each step from scratch
-//! with byte-identical output (CI diffs the two).  Only the contractual
-//! counters (explored states, cost, guard consults) are printed — the
-//! reused/recomputed split legitimately differs between the two modes.
+//! The session reuses the engine and guard-verdict caches across steps, and
+//! its output is byte-identical for every `ACCLTL_SEARCH_THREADS` setting
+//! (CI diffs 1 vs 4 threads).  Only the contractual counters (explored
+//! states, cost, guard consults) are printed — the reused/recomputed split
+//! legitimately varies with thread interleaving.
 //!
 //! Run with `cargo run --example access_monitor`.
 

@@ -1,9 +1,14 @@
 //! Shared test-util module for the integration-test binaries: the Fig-1
 //! phone-directory builders, formula shapes and report digests that
 //! `guard_cache_props`, `batch_props`, `pool_props` and `session_props`
-//! previously copy-pasted.  Each binary includes this file via `mod common;`
+//! previously copy-pasted, plus the [`deadline`] watchdog for
+//! multi-threaded tests.  Each binary includes this file via `mod common;`
 //! and uses a subset, hence the `dead_code` allowance.
 #![allow(dead_code)]
+
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::Duration;
+use std::{panic, thread};
 
 use proptest::prelude::*;
 
@@ -22,6 +27,36 @@ pub fn emptiness_with(
     bounded_emptiness_batch_with_config(&[automaton], schema, initial, engine)
         .pop()
         .expect("one automaton in, one report out")
+}
+
+/// How long [`deadline`] waits for one multi-threaded test (or proptest
+/// case): far above any healthy run, far below a CI job's timeout.
+const DEADLINE: Duration = Duration::from_secs(120);
+
+/// Runs `body` on its own thread and returns its result, failing the
+/// calling test with a message naming `what` if it has not finished within
+/// [`DEADLINE`] — so a deadlocked pool or session fails fast instead of
+/// hanging the test binary.  A panic inside `body` reaches the caller
+/// unchanged.
+pub fn deadline<R: Send + 'static>(what: &str, body: impl FnOnce() -> R + Send + 'static) -> R {
+    let (send, receive) = mpsc::channel();
+    let worker = thread::spawn(move || {
+        // The receiver is gone only after a timeout, which already failed.
+        let _ = send.send(body());
+    });
+    match receive.recv_timeout(DEADLINE) {
+        Ok(result) => {
+            worker.join().expect("the worker exits right after sending");
+            result
+        }
+        Err(RecvTimeoutError::Disconnected) => match worker.join() {
+            Err(payload) => panic::resume_unwind(payload),
+            Ok(()) => unreachable!("the worker sends its result before exiting"),
+        },
+        Err(RecvTimeoutError::Timeout) => {
+            panic!("{what} did not finish within {DEADLINE:?}: likely a deadlock")
+        }
+    }
 }
 
 /// The contractual part of a search report: verdict, explored states, cost

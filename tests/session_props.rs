@@ -2,11 +2,11 @@
 //! (`logic::bounded::MonitorSession` / `AccessAnalyzer::monitor`): after
 //! every step of a random access/response stream, a session's per-property
 //! reports must be *byte-identical* — the same verdicts, the same witnesses,
-//! the same explored-state counts and guard-consult totals — to a
-//! from-scratch re-run over the grown instance, on 1, 4 and 8 worker
-//! threads, and with `EngineConfig::disable_session_reuse`.  The session's whole
-//! point is reusing caches across steps; these tests prove the reuse is
-//! invisible in every contractual counter.
+//! the same explored-state counts and guard-consult totals — to a fresh
+//! `BoundedSearcher::run_batch` over the grown instance, on 1, 4 and 8
+//! worker threads.  The session's whole point is reusing caches across
+//! steps; these tests prove the reuse is invisible in every contractual
+//! counter.
 
 mod common;
 
@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use accltl_core::logic::bounded::{BoundedSearcher, MonitorSession};
 use accltl_core::prelude::*;
 
-use common::{digest, random_formula, random_initial};
+use common::{deadline, digest, random_formula, random_initial};
 
 /// Strategy: one well-formed access/response step over the phone-directory
 /// schema.  Names, streets and response subsets are drawn from small pools
@@ -64,6 +64,22 @@ fn session_digests(session: &MonitorSession<'_>) -> Vec<(SatOutcome, usize, usiz
     session.reports().iter().map(digest).collect()
 }
 
+/// The contractual digests of a fresh batch run over `instance`: what a
+/// caller without a session would compute.
+fn scratch_digests(
+    schema: &AccessSchema,
+    instance: &Instance,
+    zero_ary: bool,
+    engine: EngineConfig,
+    properties: &[AccLtl],
+) -> Vec<(SatOutcome, usize, usize, u64)> {
+    BoundedSearcher::with_engine_config(schema, instance, zero_ary, engine)
+        .run_batch(properties)
+        .iter()
+        .map(digest)
+        .collect()
+}
+
 /// Asserts the session's reports are byte-identical to a from-scratch batch
 /// run over the session's current instance, and that witnesses are genuine.
 fn assert_matches_scratch(
@@ -73,12 +89,9 @@ fn assert_matches_scratch(
     engine: EngineConfig,
     properties: &[AccLtl],
 ) {
-    let scratch = BoundedSearcher::with_engine_config(schema, session.current(), zero_ary, engine)
-        .run_batch(properties);
-    let scratch_digests: Vec<_> = scratch.iter().map(digest).collect();
     assert_eq!(
         session_digests(session),
-        scratch_digests,
+        scratch_digests(schema, session.current(), zero_ary, engine, properties),
         "session reports diverged from a from-scratch re-run at step {}",
         session.steps()
     );
@@ -103,21 +116,24 @@ proptest! {
         zero_ary in any::<bool>(),
         threads in prop_oneof![Just(1usize), Just(4), Just(8)],
     ) {
-        let schema = phone_directory_access_schema();
-        let engine = EngineConfig::base().threads(threads);
-        let searcher =
-            BoundedSearcher::with_engine_config(&schema, &initial, zero_ary, engine);
-        let mut session = searcher.open_session(&properties);
-        assert_matches_scratch(&session, &schema, zero_ary, engine, &properties);
-        for (access, response) in &stream {
-            session.step(access, response).expect("well-formed step");
+        deadline("threaded monitoring session", move || {
+            let schema = phone_directory_access_schema();
+            let engine = EngineConfig::base().threads(threads);
+            let searcher =
+                BoundedSearcher::with_engine_config(&schema, &initial, zero_ary, engine);
+            let mut session = searcher.open_session(&properties);
             assert_matches_scratch(&session, &schema, zero_ary, engine, &properties);
-        }
+            for (access, response) in &stream {
+                session.step(access, response).expect("well-formed step");
+                assert_matches_scratch(&session, &schema, zero_ary, engine, &properties);
+            }
+        });
     }
 
-    /// A reusing session and a `disable_session_reuse` session stepped in
-    /// lockstep report identical digests after every step (the disabled
-    /// session re-runs each step from scratch by construction).
+    /// A session and an independently grown instance stepped in lockstep:
+    /// after every step the session's instance equals the initial instance
+    /// plus every response so far, and its digests equal a fresh batch run
+    /// over that instance.
     #[test]
     fn disabled_sessions_are_byte_identical(
         properties in proptest::collection::vec(random_formula(), 1..4),
@@ -126,25 +142,30 @@ proptest! {
         zero_ary in any::<bool>(),
     ) {
         let schema = phone_directory_access_schema();
-        let reusing = EngineConfig::base().threads(1);
-        let disabled = reusing.disable_session_reuse(true);
-        let reusing_searcher =
-            BoundedSearcher::with_engine_config(&schema, &initial, zero_ary, reusing);
-        let disabled_searcher =
-            BoundedSearcher::with_engine_config(&schema, &initial, zero_ary, disabled);
-        let mut session = reusing_searcher.open_session(&properties);
-        let mut scratch = disabled_searcher.open_session(&properties);
-        prop_assert_eq!(session_digests(&session), session_digests(&scratch));
+        let engine = EngineConfig::base().threads(1);
+        let searcher = BoundedSearcher::with_engine_config(&schema, &initial, zero_ary, engine);
+        let mut session = searcher.open_session(&properties);
+        let mut grown = initial.clone();
+        prop_assert_eq!(
+            session_digests(&session),
+            scratch_digests(&schema, &grown, zero_ary, engine, &properties)
+        );
         for (access, response) in &stream {
             session.step(access, response).expect("well-formed step");
-            scratch.step(access, response).expect("well-formed step");
+            let relation = schema
+                .require_method(access.method)
+                .expect("stream methods exist")
+                .relation_id();
+            for tuple in response {
+                grown.add_fact(relation, tuple.clone());
+            }
             prop_assert_eq!(
                 session_digests(&session),
-                session_digests(&scratch),
-                "step {} diverged between reuse and scratch mode",
+                scratch_digests(&schema, &grown, zero_ary, engine, &properties),
+                "step {} diverged from a fresh batch run",
                 session.steps()
             );
-            prop_assert_eq!(session.current(), scratch.current());
+            prop_assert_eq!(session.current(), &grown);
         }
     }
 
@@ -194,9 +215,9 @@ proptest! {
     }
 }
 
-/// A session opened with `disable_session_reuse(true)` steps
-/// byte-identically to a reusing session on a fixed stream that mixes fresh
-/// reveals with zero-delta repeats, and never replays.
+/// On a fixed stream that mixes fresh reveals with a zero-delta repeat, a
+/// session steps byte-identically to a fresh batch run over its current
+/// instance, and replays exactly the repeat.
 #[test]
 fn fixed_stream_without_reuse_has_identical_reports() {
     let schema = phone_directory_access_schema();
@@ -205,60 +226,56 @@ fn fixed_stream_without_reuse_has_identical_reports() {
         AccLtl::finally(common::jones_post()),
         common::dataflow_formula(),
     ];
-    let stream: Vec<(Access, Response)> = vec![
+    // Each step with whether the session may replay it.
+    let stream: Vec<(Access, Response, bool)> = vec![
         (
             Access::new("AcM2", tuple!["Parks Rd", "OX13QD"]),
             [tuple!["Parks Rd", "OX13QD", "Jones", "1"]]
                 .into_iter()
                 .collect(),
+            false,
         ),
         (
             Access::new("AcM1", tuple!["Jones"]),
             [tuple!["Jones", "OX13QD", "Parks Rd", 5_551_212]]
                 .into_iter()
                 .collect(),
+            false,
         ),
-        // Zero-delta repeat: the reusing session replays, the disabled one
-        // re-runs — reports must still agree.
+        // Zero-delta repeat: the session replays instead of re-running —
+        // its reports must still equal a fresh run.
         (
             Access::new("AcM1", tuple!["Jones"]),
             [tuple!["Jones", "OX13QD", "Parks Rd", 5_551_212]]
                 .into_iter()
                 .collect(),
+            true,
         ),
     ];
 
     let engine = EngineConfig::from_env().threads(1);
-    let open = |engine| {
-        BoundedSearcher::with_engine_config(&schema, &initial, false, engine)
-            .open_session(&properties)
-    };
-    let mut reusing = open(engine);
-    let mut disabled = open(engine.disable_session_reuse(true));
-
-    assert_eq!(session_digests(&reusing), session_digests(&disabled));
-    for (access, response) in &stream {
-        let report = reusing
-            .step(access, response)
-            .expect("well-formed step")
-            .clone();
-        let scratch_report = disabled
+    let mut session = BoundedSearcher::with_engine_config(&schema, &initial, false, engine)
+        .open_session(&properties);
+    assert_eq!(
+        session_digests(&session),
+        scratch_digests(&schema, &initial, false, engine, &properties)
+    );
+    for (access, response, replays) in &stream {
+        let report = session
             .step(access, response)
             .expect("well-formed step")
             .clone();
         assert_eq!(
-            session_digests(&reusing),
-            session_digests(&disabled),
-            "reuse-disabled session diverged at step {}",
-            disabled.steps()
+            session_digests(&session),
+            scratch_digests(&schema, session.current(), false, engine, &properties),
+            "session diverged from a fresh batch run at step {}",
+            session.steps()
         );
-        // The disabled session never replays (it may still report within-run
-        // engine-cache hits as `reused`); the reusing one may replay.
-        assert!(!scratch_report.replayed);
-        assert_eq!(report.step, scratch_report.step);
+        assert_eq!(report.step, session.steps());
+        assert_eq!(report.replayed, *replays, "step {}", report.step);
     }
-    // The zero-delta repeat replayed in reuse mode.
-    assert!(reusing.last_report().replayed);
+    // The zero-delta repeat replayed.
+    assert!(session.last_report().replayed);
 }
 
 /// Invalid steps (unknown method, response violating the binding) error
